@@ -427,7 +427,7 @@ bool PipelineOverlap(const std::shared_ptr<zv::Table>& sales,
 /// PostgreSQL serves scans server-side), so a chunk scan costs a service
 /// wait proportional to the rows it covers plus the local row-id
 /// extraction. An unsharded statement pays the whole table's service time
-/// in one serial wait; N shard workers overlap N partition waits — the
+/// in one serial wait; an N-wide pass overlaps N partition waits — the
 /// same overlap PipelineOverlap's RemoteScanDatabase realizes one level
 /// up, and the only scan speedup any machine sees once the store is
 /// remote (multi-core machines additionally overlap the extraction CPU).
@@ -437,9 +437,12 @@ class PartitionedScanDatabase : public zv::ScanDatabase {
       : service_ns_per_row_(service_ns_per_row), table_rows_(table_rows) {}
   std::string name() const override { return "scan-partitioned"; }
 
-  zv::Result<std::unique_ptr<zv::ChunkScanner>> PrepareChunkScan(
-      const zv::sql::SelectStatement& stmt) override {
-    auto base = zv::ScanDatabase::PrepareChunkScan(stmt);
+  // Sharded passes select through the fused multi-statement scanner, so
+  // the partition wait wraps that (ScanDatabase never routes it through
+  // PrepareChunkScan).
+  zv::Result<std::unique_ptr<zv::MultiChunkScanner>> PrepareMultiChunkScan(
+      const std::vector<const zv::sql::SelectStatement*>& stmts) override {
+    auto base = zv::ScanDatabase::PrepareMultiChunkScan(stmts);
     if (!base.ok()) return base;
     return {std::make_unique<PartitionScanner>(std::move(base).value(),
                                                service_ns_per_row_)};
@@ -456,19 +459,29 @@ class PartitionedScanDatabase : public zv::ScanDatabase {
   }
 
  private:
-  class PartitionScanner : public zv::ChunkScanner {
+  /// One partition wait per chunk range, however many statements the
+  /// pass carries — a remote partition serves a fused pass in one scan.
+  class PartitionScanner : public zv::MultiChunkScanner {
    public:
-    PartitionScanner(std::unique_ptr<zv::ChunkScanner> base, uint64_t ns)
+    PartitionScanner(std::unique_ptr<zv::MultiChunkScanner> base,
+                     uint64_t ns)
         : base_(std::move(base)), service_ns_per_row_(ns) {}
-    zv::Status ScanRange(uint32_t begin, uint32_t end,
-                         std::vector<uint32_t>* out) const override {
+    size_t num_statements() const override {
+      return base_->num_statements();
+    }
+    zv::Status ScanRange(
+        uint32_t begin, uint32_t end,
+        std::vector<std::vector<uint32_t>>* outs) const override {
       std::this_thread::sleep_for(
           std::chrono::nanoseconds(service_ns_per_row_ * (end - begin)));
-      return base_->ScanRange(begin, end, out);
+      return base_->ScanRange(begin, end, outs);
+    }
+    bool Absorb(std::unique_ptr<zv::MultiChunkScanner>&) override {
+      return false;
     }
 
    private:
-    std::unique_ptr<zv::ChunkScanner> base_;
+    std::unique_ptr<zv::MultiChunkScanner> base_;
     uint64_t service_ns_per_row_;
   };
 
@@ -501,7 +514,7 @@ bool ShardScaling(JsonRecorder* recorder) {
 
   const char* const query =
       "*f1 | 'year' | 'sales' | | location='US' | bar.(y=agg('sum')) |";
-  zv::SetParallelThreads(1);  // isolate the shard pool's contribution
+  zv::SetParallelThreads(1);  // isolate the pass width's contribution
   auto run = [&](size_t shards) -> zv::Result<zv::zql::ZqlResult> {
     zv::zql::ZqlOptions opts;
     opts.shards = shards;

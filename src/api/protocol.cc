@@ -485,7 +485,6 @@ Json EncodeStats(const zql::ZqlStats& stats) {
   out.Set("compute_ms", Json::Double(stats.compute_ms));
   out.Set("fetch_ms", Json::Double(stats.fetch_ms));
   out.Set("score_ms", Json::Double(stats.score_ms));
-  out.Set("shard_ms", Json::Double(stats.shard_ms));
   return out;
 }
 
@@ -514,7 +513,6 @@ zql::ZqlStats DecodeStats(const Json& json) {
   stats.compute_ms = GetDoubleOr(json, "compute_ms", 0);
   stats.fetch_ms = GetDoubleOr(json, "fetch_ms", 0);
   stats.score_ms = GetDoubleOr(json, "score_ms", 0);
-  stats.shard_ms = GetDoubleOr(json, "shard_ms", 0);
   return stats;
 }
 

@@ -33,7 +33,8 @@
 namespace zv {
 
 /// \brief A statement's WHERE clause compiled for chunk-range evaluation —
-/// the per-chunk unit the shard worker pool (zql/scheduler.h) executes.
+/// the per-statement building block of the MultiChunkScanner a queued
+/// pass (engine/shared_scan.h) executes.
 ///
 /// PrepareChunkScan compiles the statement once; ScanRange may then be
 /// called concurrently on disjoint row ranges (const, no shared mutable
@@ -41,9 +42,10 @@ namespace zv {
 /// `out` in ascending order, so concatenating the per-chunk lists in chunk
 /// order reproduces exactly the row list a serial scan would select —
 /// FinishChunkScan then aggregates that list through the same blocked
-/// runner both backends share, keeping sharded results byte-identical to
-/// unsharded ones. ScanRange polls the calling thread's cancellation token
-/// (common/cancel.h) at least every ~64K rows and returns kCancelled.
+/// runner both backends share, keeping chunk-parallel results
+/// byte-identical to serial ones. ScanRange polls the calling thread's
+/// cancellation token (common/cancel.h) at least every ~64K rows and
+/// returns kCancelled.
 class ChunkScanner {
  public:
   virtual ~ChunkScanner() = default;
@@ -127,13 +129,13 @@ class Database {
                  double* scan_ms = nullptr);
 
   /// --- Chunked scans ---------------------------------------------------
-  /// The three-call protocol the sharded FetchOp path drives instead of
-  /// ExecuteInternal: PrepareChunkScan once per statement, ScanRange per
-  /// chunk (concurrently, on the shard workers), FinishChunkScan on the
-  /// merged row list. Splitting selection from aggregation this way keeps
-  /// the aggregation block structure — a pure function of table size — out
-  /// of the fan-out, so float sums associate identically at any shard or
-  /// chunk count.
+  /// The three-call protocol a queued pass (engine/shared_scan.h) drives
+  /// instead of ExecuteInternal: PrepareMultiChunkScan once per flush,
+  /// ScanRange per chunk (concurrently, on the queue's workers),
+  /// FinishChunkScan per statement on the merged row list. Splitting
+  /// selection from aggregation this way keeps the aggregation block
+  /// structure — a pure function of table size — out of the fan-out, so
+  /// float sums associate identically at any pass width or chunk count.
 
   /// Chunk partitioning of a registered table, built at RegisterTable time
   /// with the default chunk size (kNotFound for unknown tables). Returned
@@ -164,15 +166,15 @@ class Database {
       const std::vector<const sql::SelectStatement*>& stmts);
 
   /// Aggregates the merged (ascending) surviving-row list through the
-  /// shared blocked runner — the same code path both backends' unsharded
+  /// shared blocked runner — the same code path both backends' serial
   /// scans finish with.
   Result<ResultSet> FinishChunkScan(const sql::SelectStatement& stmt,
                                     const std::vector<uint32_t>& rows);
 
   /// Request/query accounting for scans that bypass Execute*/ScanBatch
-  /// (the sharded chunk path): one round trip carrying `num_queries`
+  /// (the queued chunk-pass route): one round trip carrying `num_queries`
   /// statements — identical counter and simulated-latency semantics, so
-  /// sql_queries/sql_requests deltas match the unsharded execution.
+  /// sql_queries/sql_requests deltas match the serial ScanBatch route.
   void AccountRequest(size_t num_queries) { BeginRequest(num_queries); }
 
   /// --- Instrumentation -------------------------------------------------

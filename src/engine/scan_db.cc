@@ -35,10 +35,25 @@ class FusedPredicateScanner : public MultiChunkScanner {
       ZV_RETURN_NOT_OK(CheckCancelled());
       const uint32_t hi = static_cast<uint32_t>(std::min<uint64_t>(
           end, static_cast<uint64_t>(lo) + kFusedCancelPollRows));
-      for (uint32_t row = lo; row < hi; ++row) {
-        for (size_t i = 0; i < n; ++i) {
-          if (!preds_[i].has_value() || preds_[i]->Test(row)) {
-            (*outs)[i].push_back(row);
+      if (n == 1) {
+        // A lone statement (any one-statement flush whose pass nobody
+        // shares) runs the solo scanner's tight loop, free of the per-row
+        // statement dispatch.
+        std::vector<uint32_t>& out = (*outs)[0];
+        if (!preds_[0].has_value()) {
+          for (uint32_t row = lo; row < hi; ++row) out.push_back(row);
+        } else {
+          const CompiledPredicate& pred = *preds_[0];
+          for (uint32_t row = lo; row < hi; ++row) {
+            if (pred.Test(row)) out.push_back(row);
+          }
+        }
+      } else {
+        for (uint32_t row = lo; row < hi; ++row) {
+          for (size_t i = 0; i < n; ++i) {
+            if (!preds_[i].has_value() || preds_[i]->Test(row)) {
+              (*outs)[i].push_back(row);
+            }
           }
         }
       }

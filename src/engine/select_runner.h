@@ -140,7 +140,7 @@ Result<ResultSet> RunBlocked(
 /// inside its [begin, end) range, located by binary search. Row ids stay in
 /// ascending order inside every block, so the result is byte-identical to a
 /// scan that selected the same rows in place — this is how the Roaring
-/// backend finishes a bitmap selection and how the sharded chunk path
+/// backend finishes a bitmap selection and how the queued chunk-pass route
 /// (engine/database.h FinishChunkScan) aggregates its merged row list.
 Result<ResultSet> RunBlockedOverRows(const Table& table,
                                      const sql::SelectStatement& stmt,

@@ -47,6 +47,10 @@ struct BatchScanQueue::Request {
   size_t num_stmts = 0;
   std::chrono::steady_clock::time_point arrival;
 
+  /// Set (under the queue lock) when the caller gives up on this request;
+  /// read lock-free by the pass's scanning threads.
+  std::atomic<bool> abandoned{false};
+
   // Filled by the pass, read by the caller after `done`.
   Status status = Status::OK();
   std::vector<std::vector<uint32_t>> rows;
@@ -61,6 +65,8 @@ struct BatchScanQueue::Request {
 /// counter — no bounded queues, so a pass can never wedge on its own
 /// results — and every job writes into a preallocated slot, keeping the
 /// demultiplexed concatenation positional (chunk order == serial order).
+/// Once every member has abandoned, the remaining jobs are claimed but not
+/// scanned: nobody will read their rows.
 struct BatchScanQueue::Pass {
   struct Unit {
     std::unique_ptr<MultiChunkScanner> scanner;
@@ -69,6 +75,13 @@ struct BatchScanQueue::Pass {
     std::vector<std::pair<size_t, size_t>> segments;
   };
 
+  bool Abandoned() const {
+    return std::all_of(members.begin(), members.end(), [](const auto& req) {
+      return req->abandoned.load(std::memory_order_relaxed);
+    });
+  }
+
+  std::vector<std::shared_ptr<Request>> members;
   ChunkMap map;
   std::vector<Unit> units;
   size_t chunks = 0;
@@ -148,7 +161,9 @@ BatchScanQueue::Selection BatchScanQueue::SelectRows(
     if (CancellationRequested()) {
       // Abandon: drop out of the queue if the pass hasn't claimed us; if
       // it has, it completes without us (delivery into an abandoned
-      // request is harmless — we hold the shared_ptr).
+      // request is harmless — we hold the shared_ptr), and stops scanning
+      // once no member is left to read its rows.
+      req->abandoned.store(true, std::memory_order_relaxed);
       for (auto it = pending_.begin(); it != pending_.end(); ++it) {
         if (it->get() == req.get()) {
           pending_.erase(it);
@@ -243,9 +258,13 @@ void BatchScanQueue::RunJobs(Pass* pass) {
     const size_t j = pass->next.fetch_add(1, std::memory_order_relaxed);
     if (j >= pass->total) return;
     const Pass::Unit& unit = pass->units[j / pass->chunks];
-    const auto [begin, end] = pass->map.chunk_range(j % pass->chunks);
-    pass->outs[j].resize(unit.scanner->num_statements());
-    pass->statuses[j] = unit.scanner->ScanRange(begin, end, &pass->outs[j]);
+    if (pass->Abandoned()) {
+      pass->statuses[j] = Status(StatusCode::kCancelled, "query cancelled");
+    } else {
+      const auto [begin, end] = pass->map.chunk_range(j % pass->chunks);
+      pass->outs[j].resize(unit.scanner->num_statements());
+      pass->statuses[j] = unit.scanner->ScanRange(begin, end, &pass->outs[j]);
+    }
     if (pass->done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
         pass->total) {
       // Empty critical section pairs with the completion wait's predicate
@@ -265,6 +284,7 @@ void BatchScanQueue::ExecutePass(
     hold_hist_->Record(MsBetween(m->arrival, t0));
   }
   auto pass = std::make_shared<Pass>();
+  pass->members = members;
   pass->map = members[0]->map;
   pass->chunks = pass->map.num_chunks();
 
@@ -316,7 +336,7 @@ void BatchScanQueue::ExecutePass(
 
   // Demultiplex: per member, per statement, concatenate the chunk lists in
   // chunk order — the positional merge that equals a serial scan. Errors
-  // surface as the first failing chunk index, mirroring the sharded path.
+  // surface as the first failing chunk index, the one a serial scan hits.
   for (size_t u = 0; u < pass->units.size(); ++u) {
     const Pass::Unit& unit_ref = pass->units[u];
     Status unit_status = Status::OK();

@@ -3,6 +3,11 @@
 /// the row-selection passes of concurrently executing queries over the
 /// same backend and table into one chunk-parallel scan pass.
 ///
+/// It is also the only chunk-parallel scan route: a ZQL query run with
+/// no shared queue but a >1 shard fan-out over a multi-chunk table gets a
+/// private queue of its own (zql/scheduler.h), so one pass protocol
+/// serves both the service and direct executors.
+///
 /// zenvisage's interactive workload is many sessions hammering one dataset
 /// with overlapping queries; at production concurrency the redundant full
 /// scans — not the scoring — dominate (Fig. 7 at scale). The queue turns N
@@ -31,7 +36,10 @@
 /// Cancellation: a caller whose token fires while waiting abandons its
 /// request and returns kCancelled; the pass (and every sibling) completes
 /// unaffected — requests are self-contained (scanners pin their table
-/// snapshot), so delivery into an abandoned request is harmless. An
+/// snapshot), so delivery into an abandoned request is harmless. Once
+/// *every* member of a pass has abandoned, its remaining chunk jobs are
+/// skipped rather than scanned, so a cancelled lone query frees the
+/// workers within one chunk scan. An
 /// epoch bump (QueryService::ReplaceDataset) swaps in a fresh Database,
 /// i.e. a fresh group key: in-flight queries finish against the snapshot
 /// they hold, new queries form new groups, and the two never share a pass.
@@ -77,7 +85,8 @@ struct BatchScanOptions {
 };
 
 /// \brief The shared-scan coordinator. One instance serves every session
-/// of a QueryService; executors reach it through ZqlOptions::batch_scans.
+/// of a QueryService; executors reach it through ZqlOptions::batch_scans
+/// (or own a private one for a sharded pass, see the file comment).
 class BatchScanQueue {
  public:
   explicit BatchScanQueue(BatchScanOptions options = {});
@@ -92,8 +101,7 @@ class BatchScanQueue {
     /// Per statement: the ascending surviving-row list, identical to what
     /// the statement's solo chunk scan would select. Empty on error.
     std::vector<std::vector<uint32_t>> rows;
-    /// Chunk sub-scans attributable to this call (chunks × statements,
-    /// matching the per-statement accounting of the sharded path).
+    /// Chunk sub-scans attributable to this call (chunks × statements).
     uint64_t chunks_scanned = 0;
     /// Wall time of the covering pass (shared by every member).
     double scan_ms = 0;

@@ -219,7 +219,6 @@ QueryService::QueryService(ServiceOptions options)
   m_queue_wait_ = metrics_->GetHistogram("zv_queue_wait_ms");
   m_fetch_ = metrics_->GetHistogram("zv_fetch_stage_ms");
   m_score_ = metrics_->GetHistogram("zv_score_stage_ms");
-  m_shard_ = metrics_->GetHistogram("zv_shard_scan_ms");
   c_submitted_ = metrics_->GetCounter("zv_queries_submitted");
   c_completed_ = metrics_->GetCounter("zv_queries_completed");
   c_failed_ = metrics_->GetCounter("zv_queries_failed");
@@ -655,13 +654,9 @@ void QueryService::RunTask(const std::shared_ptr<QueryTask>& task) {
     result.stats.cache_misses = 1;
     c_cache_misses_->Increment();
   }
-  // Stage histograms: pure scan and scoring time per executed query (the
-  // shard histogram only when the shard pool actually scanned chunks).
+  // Stage histograms: pure scan and scoring time per executed query.
   m_fetch_->Record(result.stats.fetch_ms);
   m_score_->Record(result.stats.score_ms);
-  if (result.stats.chunks_scanned > 0) {
-    m_shard_->Record(result.stats.shard_ms);
-  }
   auto shared = std::make_shared<const zql::ZqlResult>(std::move(result));
   // A cancel that arrived after the last cancellation point must not
   // poison the cache with a result we'll report as kCancelled elsewhere —

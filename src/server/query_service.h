@@ -357,7 +357,6 @@ class QueryService {
   Histogram* m_queue_wait_ = nullptr;  ///< zv_queue_wait_ms
   Histogram* m_fetch_ = nullptr;       ///< zv_fetch_stage_ms
   Histogram* m_score_ = nullptr;       ///< zv_score_stage_ms
-  Histogram* m_shard_ = nullptr;       ///< zv_shard_scan_ms
   Counter* c_submitted_ = nullptr;
   Counter* c_completed_ = nullptr;
   Counter* c_failed_ = nullptr;

@@ -110,15 +110,17 @@ struct ZqlOptions {
   /// ResultSets the fetch thread may run ahead of the consumer before it
   /// blocks (memory bound per in-flight query).
   size_t pipeline_depth = 4;
-  /// Sharded scan fan-out (docs/architecture.md "Sharded execution"): when
-  /// the effective value is >1 and the table's ChunkMap has >=2 chunks,
-  /// each FetchOp statement is compiled once and its chunks are scanned by
-  /// a pool of min(shards, chunks) shard workers, the per-chunk row lists
-  /// merged positionally before the shared blocked aggregation runs. 0
+  /// Chunk-parallel pass width for an executor without batch_scans
+  /// (docs/architecture.md "Sharded execution"): when the effective value
+  /// is >1 and the table's ChunkMap has >=2 chunks, each flush's row
+  /// selection runs as one pass of a private BatchScanQueue, min(shards,
+  /// chunks) threads wide, before the shared blocked aggregation runs. 0
   /// resolves the ZV_SHARDS environment variable (default: min(4,
   /// hardware concurrency) — wider-than-the-machine fan-out only pays
-  /// when chunk scans wait on a remote store); 1 disables sharding. A pure execution strategy: results are byte-identical at
-  /// any setting (tests/shard_test.cc locks the matrix).
+  /// when chunk scans wait on a remote store); 1 selects the serial scan.
+  /// Ignored when batch_scans is set (the shared queue has its own
+  /// width). A pure execution strategy: results are byte-identical at any
+  /// setting (tests/shard_test.cc locks the matrix).
   size_t shards = 0;
   /// Cross-query shared-scan batching (docs/architecture.md "Batched
   /// execution"): when set, every flush's row selection is routed through
@@ -155,12 +157,12 @@ struct ZqlOptions {
   /// records a span tree under `trace_parent` (null = the trace root) —
   /// one "execute" span holding one span per plan operator
   /// (FetchOp/MaterializeOp/ScoreOp/ReduceOp/OutputOp, names matching the
-  /// EXPLAIN rendering), plus per-batch scan spans ("Flush"/"FetchBatch"),
-  /// per chunk-scan pass ("ChunkScanPass"), and per shared-scan
-  /// group-commit pass ("SharedScanPass"). A pure observer: spans never
-  /// influence scheduling, results are byte-identical with tracing on or
-  /// off (tests/trace_test.cc locks the matrix), and the serving layer
-  /// keeps trace state out of QueryFingerprint and every cache.
+  /// EXPLAIN rendering), plus per-batch scan spans ("Flush"/"FetchBatch")
+  /// and one span per queued chunk-scan pass ("SharedScanPass", shared or
+  /// private). A pure observer: spans never influence scheduling, results
+  /// are byte-identical with tracing on or off (tests/trace_test.cc locks
+  /// the matrix), and the serving layer keeps trace state out of
+  /// QueryFingerprint and every cache.
   Trace* trace = nullptr;
   TraceSpan* trace_parent = nullptr;
 };
@@ -199,19 +201,17 @@ struct ZqlStats {
   /// (fetch_ms + score_ms) and total_ms is the overlap won.
   double fetch_ms = 0;
   double score_ms = 0;
-  /// Sharded-scan instrumentation: chunk sub-scans executed by the shard
-  /// worker pool, and the cumulative time those workers spent scanning
-  /// (summed across workers, so under parallel fan-out shard_ms exceeds
-  /// the wall time the scans took — the ratio is the fan-out won). Both
-  /// stay 0 when sharding is off or the table fits in one chunk.
+  /// Chunk sub-scans this query's statements ran through a queued pass
+  /// (chunks × statements, shared or private queue). Stays 0 on the serial
+  /// route: one shard with no batch_scans, or a table of one chunk.
   uint64_t chunks_scanned = 0;
-  double shard_ms = 0;
   /// Shared-scan batching instrumentation (ZqlOptions::batch_scans):
   /// batched_scans counts this query's statements whose row selection ran
   /// through the cross-query batch queue; scans_shared is the subset whose
   /// scan pass also carried statements from other concurrent queries — the
   /// redundant table passes actually eliminated. Both stay 0 when batching
-  /// is off (or the table has no chunk map).
+  /// is off (or the table has no chunk map); a private sharded pass counts
+  /// toward neither.
   uint64_t batched_scans = 0;
   uint64_t scans_shared = 0;
   /// Active distance-kernel vector width in doubles (tasks/simd.h dispatch:

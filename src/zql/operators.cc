@@ -539,7 +539,14 @@ Status PlanRowFetches(const ZqlRow& row, size_t row_tag, ExecState* st,
     }
   }
   size_t total = 1;
-  for (const auto& d : comp->domains) total *= d->size();
+  for (const auto& d : comp->domains) {
+    if (__builtin_mul_overflow(total, d->size(), &total)) {
+      return Status::InvalidArgument(StrFormat(
+          "line %d: component '%s' has more visualization combinations "
+          "than fit in a size_t",
+          row.line, row.name.name.c_str()));
+    }
+  }
   comp->strides.assign(comp->domains.size(), 1);
   for (size_t i = comp->domains.size(); i-- > 1;) {
     comp->strides[i - 1] = comp->strides[i] * comp->domains[i]->size();

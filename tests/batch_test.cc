@@ -5,7 +5,8 @@
 /// {1, 4} sessions × both backends × ZV_THREADS {1, 4} × ZV_SHARDS
 /// {1, 4}. Plus: the fused multi-statement scanners select exactly what
 /// solo scanners select, a cancelled member leaves its pass siblings
-/// unaffected, a ReplaceDataset epoch bump mid-window isolates pre- and
+/// unaffected, a pass every member abandoned stops scanning early, a
+/// ReplaceDataset epoch bump mid-window isolates pre- and
 /// post-bump queries on their own snapshots, binning pushdown reproduces
 /// the client-side binner bit for bit on integer data, and a randomized
 /// multi-session soak (ZV_SOAK_ITERS; the `stress` ctest configuration
@@ -356,6 +357,69 @@ TEST(BatchTest, CancelledMemberLeavesSiblingUnaffected) {
   EXPECT_EQ(cancelled_sel.status.code(), StatusCode::kCancelled)
       << cancelled_sel.status.ToString();
   survivor_caller.join();
+}
+
+/// A backend whose fused scanner only counts and slows its chunk scans, so
+/// a test can observe how much of a pass actually ran.
+class CountingScanDatabase : public ScanDatabase {
+ public:
+  Result<std::unique_ptr<MultiChunkScanner>> PrepareMultiChunkScan(
+      const std::vector<const sql::SelectStatement*>&) override {
+    return std::unique_ptr<MultiChunkScanner>(new Scanner(&scans));
+  }
+
+  std::atomic<size_t> scans{0};
+
+ private:
+  class Scanner : public MultiChunkScanner {
+   public:
+    explicit Scanner(std::atomic<size_t>* scans) : scans_(scans) {}
+    size_t num_statements() const override { return 1; }
+    Status ScanRange(uint32_t, uint32_t,
+                     std::vector<std::vector<uint32_t>>*) const override {
+      scans_->fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      return Status::OK();
+    }
+    bool Absorb(std::unique_ptr<MultiChunkScanner>&) override {
+      return false;
+    }
+
+   private:
+    std::atomic<size_t>* scans_;
+  };
+};
+
+/// A pass whose every member has abandoned stops scanning: cancelling the
+/// only member mid-pass leaves most of its 300 chunk jobs unscanned.
+TEST(BatchTest, AbandonedPassStopsEarly) {
+  CountingScanDatabase db;
+  ZV_ASSERT_OK(db.RegisterTable(MediumSales()));
+  ZV_ASSERT_OK(db.RebuildChunkMap("sales", 10));  // 3000 rows -> 300 chunks
+  ZV_ASSERT_OK_AND_ASSIGN(
+      sql::SelectStatement stmt,
+      sql::ParseSelect("SELECT year FROM sales WHERE location = 'US'"));
+  {
+    BatchScanOptions bopts;
+    bopts.window_ms = 0;
+    bopts.workers = 1;
+    BatchScanQueue queue(bopts);
+    CancelToken token;
+    BatchScanQueue::Selection sel;
+    std::thread caller([&] {
+      CancelScope scope(token);
+      sel = queue.SelectRows(&db, "sales", {&stmt});
+    });
+    while (db.scans.load() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    token.Cancel();
+    caller.join();
+    EXPECT_EQ(sel.status.code(), StatusCode::kCancelled)
+        << sel.status.ToString();
+  }  // the queue's destructor waits out the pass
+  EXPECT_GT(db.scans.load(), 0u);
+  EXPECT_LT(db.scans.load(), 300u);
 }
 
 /// Service level: cancelling one query mid-batch never disturbs a

@@ -185,6 +185,47 @@ TEST(RawSimdTest, SimdHomeIsExemptAndSuppressionWorks) {
 }
 
 // ---------------------------------------------------------------------------
+// raw-thread
+// ---------------------------------------------------------------------------
+
+TEST(RawThreadTest, FlagsConstructionAndThreadContainers) {
+  const auto vs = LintFile(
+      File("src/tasks/kmeans.cc",
+           "std::thread t([] { Work(); });\n"
+           "std::vector<std::thread> pool_;\n"
+           "auto j = std::jthread(Work);\n"));
+  ASSERT_EQ(vs.size(), 3u);
+  for (size_t i = 0; i < vs.size(); ++i) {
+    EXPECT_EQ(vs[i].rule, "raw-thread");
+    EXPECT_EQ(vs[i].line, static_cast<int>(i) + 1);
+  }
+}
+
+TEST(RawThreadTest, StaticMembersAndThisThreadDoNotFire) {
+  const auto vs = LintFile(
+      File("src/zql/plan.cc",
+           "const unsigned n = std::thread::hardware_concurrency();\n"
+           "std::this_thread::sleep_for(d);\n"
+           "const char* doc = \"std::thread t;\";\n"));
+  EXPECT_TRUE(vs.empty());
+}
+
+TEST(RawThreadTest, ThreadHomesAreExemptAndSuppressionWorks) {
+  for (const char* home :
+       {"src/common/parallel.cc", "src/engine/shared_scan.h",
+        "src/zql/scheduler.cc", "src/server/query_service.h"}) {
+    EXPECT_TRUE(
+        LintFile(File(home, "std::vector<std::thread> workers_;\n")).empty())
+        << home;
+  }
+  EXPECT_TRUE(LintFile(File("src/tasks/kmeans.cc",
+                            "// Joined before return; see the bench.\n"
+                            "// zv-lint: raw-thread\n"
+                            "std::thread t(Work);\n"))
+                  .empty());
+}
+
+// ---------------------------------------------------------------------------
 // unordered-iter
 // ---------------------------------------------------------------------------
 
@@ -468,7 +509,7 @@ TEST(RulesTest, EveryRuleIdIsRegistered) {
   for (const RuleInfo& r : Rules()) ids.push_back(r.id);
   for (const char* expected :
        {"raw-clock", "raw-rand", "unordered-iter", "manual-lock", "raw-simd",
-        "layering", "include-cycle"}) {
+        "raw-thread", "layering", "include-cycle"}) {
     EXPECT_NE(std::find(ids.begin(), ids.end(), expected), ids.end())
         << expected;
   }

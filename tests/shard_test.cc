@@ -3,12 +3,12 @@
 /// unsharded oracle across chunk sizes (including table < 1 chunk, chunk =
 /// 1 row, and an empty table), both backends, both schedules, and
 /// ZV_THREADS in {1, 4} — with the same sql_queries/sql_requests deltas.
-/// Plus: mid-scan cancellation reaches every shard worker promptly, the
-/// chunk-scan primitives match a serial scan row for row, EXPLAIN renders
-/// the fan-out, and a ReplaceDataset swap rebuilds the chunk catalog. Runs
+/// Sharded runs take the private BatchScanQueue pass (zql/scheduler.h).
+/// Plus: mid-scan cancellation resolves promptly, the chunk-scan
+/// primitives match a serial scan row for row, EXPLAIN renders the
+/// fan-out, and a ReplaceDataset swap rebuilds the chunk catalog. Runs
 /// under the tsan/asan ctest gates (tools/run_tsan.sh, tools/run_asan.sh):
-/// shard workers, the chunk queues, and the fetch thread race-check
-/// together.
+/// the private queue's workers and the fetch thread race-check together.
 
 #include <gtest/gtest.h>
 
@@ -129,7 +129,8 @@ void RunIdentityMatrix() {
     // default 2^18 rows — which the table fits inside, so the "table < 1
     // chunk" case degenerates to the unsharded path. Shard counts include
     // 8, which exceeds the chunk count at chunk_rows=1500 (2 chunks):
-    // surplus shard workers must idle out without disturbing the bytes.
+    // the pass caps its width at the chunk count without disturbing the
+    // bytes.
     for (size_t chunk_rows :
          {size_t{1}, size_t{256}, size_t{1500}, size_t{0}}) {
       ZV_ASSERT_OK(db.RebuildChunkMap("sales", chunk_rows));
@@ -172,7 +173,6 @@ TEST(ShardTest, ChunkStatsPopulated) {
   ZV_ASSERT_OK_AND_ASSIGN(ZqlResult unsharded, RunZql(&db, kSetQuery, 1, true));
   EXPECT_EQ(sharded.stats.chunks_scanned, 6 * sharded.stats.sql_queries);
   EXPECT_EQ(unsharded.stats.chunks_scanned, 0u);
-  EXPECT_EQ(unsharded.stats.shard_ms, 0.0);
 }
 
 /// Chunk-boundary edge geometry. An exact divisor leaves no ragged tail:
@@ -201,9 +201,9 @@ TEST(ShardTest, ChunkBoundaryExactlyOnLastRow) {
   }
 }
 
-/// More shard workers than chunks: with 2 chunks and 8 shards the surplus
-/// workers find no chunk to claim and exit idle; results and the
-/// chunks_scanned accounting match the exactly-subscribed run.
+/// More shards than chunks: with 2 chunks and 8 shards the pass runs 2
+/// wide; results and the chunks_scanned accounting match the
+/// exactly-subscribed run.
 TEST(ShardTest, MoreShardsThanChunks) {
   ScanDatabase db;
   ZV_ASSERT_OK(db.RegisterTable(MediumSales()));
@@ -298,10 +298,11 @@ TEST(ShardTest, ChunkScannerMatchesSerialSelection) {
   }
 }
 
-/// Cancellation mid-scan: shard workers poll the mirrored token inside
-/// ScanRange, so cancelling during a wide fan-out (20000 rows in 64-row
-/// chunks, ~313 in-flight chunk jobs per statement) resolves promptly
-/// with kCancelled — never a partial OK result.
+/// Cancellation mid-scan: the fetch thread polls the mirrored token while
+/// it waits on its pass, and an abandoned pass stops scanning, so
+/// cancelling during a wide fan-out (20000 rows in 64-row chunks, ~313
+/// chunk jobs per pass) resolves promptly with kCancelled — never a
+/// partial OK result.
 TEST(ShardTest, CancelMidShardedScanReturnsPromptly) {
   SalesDataOptions data_opts;
   data_opts.num_rows = 20000;
@@ -339,7 +340,7 @@ TEST(ShardTest, CancelMidShardedScanReturnsPromptly) {
 
 /// EXPLAIN's FetchOp fan-out annotation: rendered when the caller supplies
 /// a chunk count and the plan wants >1 worker; plain otherwise. shards
-/// reports min(workers, chunks) — the pool the scheduler actually starts.
+/// reports min(workers, chunks) — the pass width the scheduler runs.
 TEST(ShardTest, ExplainRendersFanOut) {
   ZV_ASSERT_OK_AND_ASSIGN(ZqlQuery q, ParseQuery(kNoWhereQuery));
   ZqlOptions opts;

@@ -8,8 +8,8 @@
 /// the wire `metrics` request kind and trace response payloads round-trip;
 /// and the Chrome trace_event export parses. Runs under the tsan/asan
 /// ctest gates (tools/run_tsan.sh, tools/run_asan.sh): spans are opened
-/// concurrently from the coordinator, the pipelined fetch thread, and the
-/// shard workers, so the trace mutex race-checks with real traffic.
+/// concurrently from the coordinator and the pipelined fetch thread, so
+/// the trace mutex race-checks with real traffic.
 
 #include <gtest/gtest.h>
 
@@ -204,9 +204,9 @@ TEST(TraceGolden, PipelinedFetchBatchOnTrack1) {
   EXPECT_EQ(coordinator.back(), "OutputOp");
 }
 
-/// Chunk-sharded scans open one ChunkScanPass per dispatched statement,
-/// annotated with the chunk fan-out.
-TEST(TraceGolden, ShardedScanOpensChunkScanPass) {
+/// A direct executor's sharded scan runs as a private queued pass and
+/// opens one SharedScanPass per flush, like a served query's.
+TEST(TraceGolden, ShardedScanOpensSharedScanPass) {
   ScanDatabase db;
   ZV_ASSERT_OK(db.RegisterTable(MediumSales()));
   ZV_ASSERT_OK(db.RebuildChunkMap("sales", 800));  // 3000 rows -> 4 chunks
@@ -215,7 +215,7 @@ TEST(TraceGolden, ShardedScanOpensChunkScanPass) {
       zql::ZqlResult result,
       RunZql(&db, kNoWhereQuery, /*pipelined=*/false, /*shards=*/4, &trace));
   (void)result;
-  EXPECT_GE(CountSpans(*trace.root(), "ChunkScanPass"), 1u);
+  EXPECT_GE(CountSpans(*trace.root(), "SharedScanPass"), 1u);
 }
 
 // ---------------------------------------------------------------------------

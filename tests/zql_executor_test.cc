@@ -374,5 +374,34 @@ TEST(ZqlExecutorBackendTest, RoaringMatchesScan) {
   }
 }
 
+// A component's combination count is the product of its Z-domain sizes.
+// Four attributes of 65536 distinct values each make 2^64 combinations,
+// which must be rejected rather than wrap to an empty (OK) result.
+TEST(ZqlExecutorLimitsTest, CombinationCountOverflowIsInvalidArgument) {
+  Schema schema({{"year", ColumnType::kCategorical},
+                 {"a", ColumnType::kCategorical},
+                 {"b", ColumnType::kCategorical},
+                 {"c", ColumnType::kCategorical},
+                 {"d", ColumnType::kCategorical},
+                 {"sales", ColumnType::kDouble}});
+  TableBuilder builder("wide", schema);
+  constexpr int64_t kDistinct = 65536;
+  for (int64_t i = 0; i < kDistinct; ++i) {
+    ZV_ASSERT_OK(builder.AddRow({Value::Int(2014 + i % 3), Value::Int(i),
+                                 Value::Int(i), Value::Int(i), Value::Int(i),
+                                 Value::Double(1.0)}));
+  }
+  ScanDatabase db;
+  ZV_ASSERT_OK(db.RegisterTable(builder.Finish()));
+  ZqlExecutor exec(&db, "wide");
+  Result<ZqlResult> r = exec.ExecuteText(
+      "name | x | y | z | z2 | z3 | z4 | viz\n"
+      "*f1 | 'year' | 'sales' | v1 <- 'a'.* | v2 <- 'b'.* | v3 <- 'c'.* | "
+      "v4 <- 'd'.* | bar.(y=agg('sum'))");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+      << r.status().ToString();
+}
+
 }  // namespace
 }  // namespace zv::zql

@@ -210,6 +210,37 @@ bool HasRawSimd(const std::string& code) {
   return false;
 }
 
+/// A `std::thread`/`std::jthread` object — a construction, a declaration,
+/// or a container of them. Static members such as
+/// `std::thread::hardware_concurrency()` create no thread and pass.
+bool HasRawThread(const std::string& code) {
+  for (const char* type : {"thread", "jthread"}) {
+    const size_t len = std::strlen(type);
+    size_t pos = 0;
+    while ((pos = FindIdent(code, type, pos)) != npos) {
+      const bool std_qualified =
+          pos >= 5 && code.compare(pos - 5, 5, "std::") == 0;
+      const bool static_member =
+          code.compare(SkipSpace(code, pos + len), 2, "::") == 0;
+      if (std_qualified && !static_member) return true;
+      pos += len;
+    }
+  }
+  return false;
+}
+
+/// The modules that own a thread population: the ParallelFor pool, the
+/// shared-scan queue, the pipelined fetch thread, and the service workers.
+bool IsThreadHome(const std::string& path) {
+  for (const char* stem : {"common/parallel", "engine/shared_scan",
+                           "zql/scheduler", "server/query_service"}) {
+    for (const char* ext : {".h", ".cc"}) {
+      if (EndsWith(path, (std::string(stem) + ext).c_str())) return true;
+    }
+  }
+  return false;
+}
+
 /// A member call `.lock()` / `->unlock()` etc.
 bool HasManualLock(const std::string& code) {
   for (const char* fn : {"lock", "unlock"}) {
@@ -445,6 +476,9 @@ const std::vector<RuleInfo>& Rules() {
       {"manual-lock", "bare .lock()/.unlock() instead of a scoped guard"},
       {"raw-simd",
        "vector intrinsics (immintrin.h, _mm*/__m*) outside tasks/simd.{h,cc}"},
+      {"raw-thread",
+       "std::thread objects outside the four thread homes (common/parallel, "
+       "engine/shared_scan, zql/scheduler, server/query_service)"},
       {"layering", "#include edge not in the layer DAG"},
       {"include-cycle", "cycle in the file-level include graph"},
   };
@@ -469,6 +503,7 @@ std::vector<Violation> LintFile(const SourceFile& f,
   const bool rng_home = EndsWith(f.path, "common/rng.h");
   const bool simd_home = EndsWith(f.path, "tasks/simd.h") ||
                          EndsWith(f.path, "tasks/simd.cc");
+  const bool thread_home = IsThreadHome(f.path);
 
   // Container names declared here or in companion headers (a .cc iterating
   // a member its own header declares is the common case).
@@ -505,6 +540,15 @@ std::vector<Violation> LintFile(const SourceFile& f,
           "raw vector intrinsics; the only sanctioned home is the "
           "tasks/simd.h kernel layer, which pairs every vector path with a "
           "bit-identical scalar fallback and runtime dispatch"));
+    }
+
+    if (!thread_home && HasRawThread(code) &&
+        !Suppressed(lines, i, "raw-thread")) {
+      out.push_back(MakeViolation(
+          "raw-thread", f.path, i, code,
+          "raw std::thread; run the work on an existing population "
+          "(ParallelFor, a BatchScanQueue pass, the fetch thread, or the "
+          "service workers) so the thread count can only go down"));
     }
 
     if (HasManualLock(code) && !Suppressed(lines, i, "manual-lock")) {

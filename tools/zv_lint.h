@@ -19,6 +19,10 @@
 ///   unordered-iter  iteration over std::unordered_{map,set,...} without a
 ///                   `// zv-lint: order-independent` annotation; hash
 ///                   order is not part of the determinism contract.
+///   raw-thread      std::thread/std::jthread objects outside the four
+///                   thread homes (common/parallel, engine/shared_scan,
+///                   zql/scheduler, server/query_service) — new work rides
+///                   an existing thread population.
 ///   manual-lock     bare .lock()/.unlock() calls — use a scoped guard
 ///                   (std::lock_guard, std::unique_lock, zv::ScopedUnlock)
 ///                   or annotate `// zv-lint: manual-lock`.

@@ -12,8 +12,18 @@
 /// time. Paper shape: query execution stays nearly flat (same data
 /// fetched, more GROUP BY groups), computation grows with group count and
 /// ordering outlier > representative > similarity.
+///
+/// Each point is the median of three runs. The `scaling_fig7_4` record
+/// gates the shape: for every task, total time at 10000 products (100000
+/// groups) over total time at 1000 products (10000 groups) — 10x the
+/// groups — must stay within n log n growth, 10 * log2(1e5) / log2(1e4) =
+/// 12.5. tools/run_bench.sh fails on "pass":"no" under ZV_BENCH_STRICT=1.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -30,7 +40,7 @@ struct TaskTimes {
   double total = 0, compute = 0, exec = 0;
 };
 
-TaskTimes RunTask(zv::Database* db, const std::string& query) {
+TaskTimes RunOnce(zv::Database* db, const std::string& query) {
   zv::zql::ZqlExecutor exec(db, "sales");
   auto result = exec.ExecuteText(query);
   if (!result.ok()) {
@@ -41,6 +51,22 @@ TaskTimes RunTask(zv::Database* db, const std::string& query) {
   return {result->stats.total_ms, result->stats.compute_ms,
           result->stats.exec_ms};
 }
+
+/// The run with the median total time out of three.
+TaskTimes RunTask(zv::Database* db, const std::string& query) {
+  std::vector<TaskTimes> runs;
+  for (int i = 0; i < 3; ++i) runs.push_back(RunOnce(db, query));
+  std::sort(runs.begin(), runs.end(),
+            [](const TaskTimes& a, const TaskTimes& b) {
+              return a.total < b.total;
+            });
+  return runs[1];
+}
+
+/// The scaling gate's two points (products) and bound: n log n growth for
+/// 10x the groups.
+constexpr size_t kScalingFrom = 1000;
+constexpr size_t kScalingTo = 10000;
 
 }  // namespace
 
@@ -56,6 +82,8 @@ int main() {
   std::printf("\n%-8s %-16s %10s %14s %14s\n", "groups", "task", "total(ms)",
               "compute(ms)", "exec(ms)");
 
+  // task -> products -> median total ms, for the scaling gate.
+  std::map<std::string, std::map<size_t, double>> totals;
   for (size_t products : product_counts) {
     zv::SalesDataOptions opts;
     opts.num_rows = rows;
@@ -93,6 +121,7 @@ int main() {
     };
     for (const auto& [name, query] : tasks) {
       const TaskTimes t = RunTask(&db, *query);
+      totals[name][products] = t.total;
       std::printf("%-8zu %-16s %10.1f %14.1f %14.1f\n", groups, name, t.total,
                   t.compute, t.exec);
       recorder.Record("groups_" + std::to_string(groups) + "/" + name,
@@ -102,5 +131,30 @@ int main() {
                        {"exec_ms", std::to_string(t.exec)}});
     }
   }
+
+  const double groups_from = 10.0 * kScalingFrom, groups_to = 10.0 * kScalingTo;
+  const double bound = (groups_to / groups_from) * std::log2(groups_to) /
+                       std::log2(groups_from);
+  std::map<std::string, std::string> extra = {
+      {"kind", "scaling"}, {"bound", std::to_string(bound)}};
+  bool pass = true;
+  double worst_ms = 0;
+  std::printf("\nscaling %zu -> %zu products (bound %.1fx):\n", kScalingFrom,
+              kScalingTo, bound);
+  for (const auto& [name, by_products] : totals) {
+    const double from = by_products.at(kScalingFrom);
+    const double to = by_products.at(kScalingTo);
+    const double ratio = from > 0 ? to / from : 0;
+    pass = pass && from > 0 && ratio <= bound;
+    worst_ms = std::max(worst_ms, to);
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.2f", ratio);
+    extra["ratio_" + name] = buf;
+    std::printf("  %-16s %6.2fx\n", name.c_str(), ratio);
+  }
+  extra["pass"] = pass ? "yes" : "no";
+  recorder.Record("scaling_fig7_4", worst_ms, extra);
+  std::printf("  scaling_fig7_4: %s\n",
+              pass ? "pass" : "FAIL: grows faster than n log n");
   return 0;
 }

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/value.h"
 
 namespace zv {
 
@@ -77,7 +78,7 @@ class Json {
 
   bool as_bool() const { return std::get<bool>(data_); }
   int64_t as_int() const {
-    if (is_double()) return static_cast<int64_t>(std::get<double>(data_));
+    if (is_double()) return TruncateToInt64(std::get<double>(data_));
     return std::get<int64_t>(data_);
   }
   double as_double() const {

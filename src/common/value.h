@@ -6,7 +6,9 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_set>
 #include <variant>
+#include <vector>
 
 namespace zv {
 
@@ -84,8 +86,53 @@ class Value {
   std::variant<std::monostate, int64_t, double, std::string> data_;
 };
 
+/// True if `d` converts to int64 without overflow: finite and in
+/// [-2^63, 2^63). Converting any other double to an integer type is
+/// undefined behaviour.
+inline bool FitsInt64(double d) {
+  return d >= -9223372036854775808.0 && d < 9223372036854775808.0;
+}
+
+/// `d` truncated toward zero as an int64, or INT64_MIN when !FitsInt64(d)
+/// — the value x86's conversion instruction yields there, so bin keys keep
+/// the bytes an unchecked cast produced on that hardware.
+inline int64_t TruncateToInt64(double d) {
+  return FitsInt64(d) ? static_cast<int64_t>(d) : INT64_MIN;
+}
+
 struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }
+};
+
+/// \brief A set of Values whose membership test answers exactly what a
+/// linear scan with operator== over the added values would, in expected
+/// O(1) per probe.
+///
+/// operator== is not an equivalence on every Value: NaN compares equal to
+/// every number, and an int64 beyond 2^53 equals the double it rounds to
+/// but not that double's exact int64. Such members stay in a small list
+/// probed linearly, and a NaN probe is answered as "any numeric member";
+/// every other member lives in a hash set, where equal members relate
+/// alike to every probe.
+class ValueSet {
+ public:
+  /// Adds `v` as a member (duplicates are harmless).
+  void Add(const Value& v);
+
+  /// Adds `v` unless a member equals it; returns whether it was added.
+  /// Inserting a sequence keeps exactly the values a std::find-based
+  /// first-occurrence dedupe would keep.
+  bool Insert(const Value& v);
+
+  /// True if some member == `v`.
+  bool Contains(const Value& v) const;
+
+ private:
+  static bool Hashable(const Value& v);
+
+  std::unordered_set<Value, ValueHash> hashed_;
+  std::vector<Value> unhashed_;
+  bool has_numeric_ = false;
 };
 
 }  // namespace zv

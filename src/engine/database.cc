@@ -18,8 +18,9 @@ namespace {
 /// Cancellation poll granularity inside ScanRange row loops.
 constexpr uint32_t kChunkCancelPollRows = 32768;
 
-/// The generic chunk scanner: CompiledPredicate per row (no predicate =
-/// every row survives). Matches ScanDatabase's selection semantics exactly.
+/// The generic chunk scanner: CompiledPredicate batch selection (no
+/// predicate = every row survives). Selects exactly the rows
+/// ScanDatabase's per-row serial scan does.
 class PredicateChunkScanner : public ChunkScanner {
  public:
   PredicateChunkScanner(std::shared_ptr<Table> table,
@@ -33,10 +34,7 @@ class PredicateChunkScanner : public ChunkScanner {
       const uint32_t hi = static_cast<uint32_t>(std::min<uint64_t>(
           end, static_cast<uint64_t>(lo) + kChunkCancelPollRows));
       if (pred_.has_value()) {
-        const CompiledPredicate& pred = *pred_;
-        for (uint32_t row = lo; row < hi; ++row) {
-          if (pred.Test(row)) out->push_back(row);
-        }
+        pred_->SelectRange(lo, hi, out);
       } else {
         for (uint32_t row = lo; row < hi; ++row) out->push_back(row);
       }

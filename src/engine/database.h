@@ -159,8 +159,8 @@ class Database {
   /// All statements must target the same table. The base implementation
   /// wraps the per-statement PrepareChunkScan scanners, so index-aware
   /// overrides (Roaring's bitmap scanner) are picked up automatically;
-  /// ScanDatabase overrides it with a fused evaluator that tests every
-  /// statement's predicate in a single row loop. Fails with the first
+  /// ScanDatabase overrides it with a fused evaluator that runs every
+  /// statement's batch selection over the same slice. Fails with the first
   /// statement's compile error.
   virtual Result<std::unique_ptr<MultiChunkScanner>> PrepareMultiChunkScan(
       const std::vector<const sql::SelectStatement*>& stmts);

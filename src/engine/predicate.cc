@@ -46,6 +46,52 @@ bool CompareDoubles(double lhs, CompareOp op, double rhs) {
   return false;
 }
 
+/// Rows per SelectRange selection-vector batch (16 KB on the stack).
+constexpr uint32_t kSelectBatchRows = 4096;
+
+/// IN lists longer than this are probed through a ValueSet; a linear scan
+/// of a shorter list is cheaper than hashing each dictionary value.
+constexpr size_t kHashedInMinValues = 8;
+
+/// Calls `fn` with a row -> bool test of a measure leaf over column data
+/// `values`, one specialisation per operator. Values widen to double
+/// exactly as Table::NumericAt does.
+template <typename T, typename Fn>
+void WithMeasureTest(const CompiledPredicate::Node& node, const T* values,
+                     Fn&& fn) {
+  const double a = node.lhs_lo, b = node.lhs_hi;
+  const auto at = [values](uint32_t row) {
+    return static_cast<double>(values[row]);
+  };
+  if (node.kind == CompiledPredicate::Node::Kind::kNumBetween) {
+    fn([=](uint32_t row) {
+      const double v = at(row);
+      return v >= a && v <= b;
+    });
+    return;
+  }
+  switch (node.op) {
+    case CompareOp::kEq:
+      fn([=](uint32_t row) { return at(row) == a; });
+      return;
+    case CompareOp::kNe:
+      fn([=](uint32_t row) { return at(row) != a; });
+      return;
+    case CompareOp::kLt:
+      fn([=](uint32_t row) { return at(row) < a; });
+      return;
+    case CompareOp::kLe:
+      fn([=](uint32_t row) { return at(row) <= a; });
+      return;
+    case CompareOp::kGt:
+      fn([=](uint32_t row) { return at(row) > a; });
+      return;
+    case CompareOp::kGe:
+      fn([=](uint32_t row) { return at(row) >= a; });
+      return;
+  }
+}
+
 }  // namespace
 
 bool LeafPredicateAccepts(const sql::Expr& expr, const Value& v) {
@@ -66,6 +112,22 @@ bool LeafPredicateAccepts(const sql::Expr& expr, const Value& v) {
   }
 }
 
+std::vector<uint8_t> CategoricalAccepts(const sql::Expr& leaf,
+                                        const std::vector<Value>& dictionary) {
+  std::vector<uint8_t> accept(dictionary.size());
+  if (leaf.kind == Expr::Kind::kIn && leaf.values.size() > kHashedInMinValues) {
+    ValueSet in;
+    for (const Value& v : leaf.values) in.Add(v);
+    for (size_t code = 0; code < dictionary.size(); ++code) {
+      accept[code] = in.Contains(dictionary[code]);
+    }
+    return accept;
+  }
+  for (size_t code = 0; code < dictionary.size(); ++code) {
+    accept[code] = LeafPredicateAccepts(leaf, dictionary[code]);
+  }
+  return accept;
+}
 
 Result<CompiledPredicate> CompiledPredicate::Compile(const Table& table,
                                                      const sql::Expr& expr) {
@@ -113,13 +175,8 @@ Result<CompiledPredicate> CompiledPredicate::Compile(const Table& table,
       node.col = col;
       if (type == ColumnType::kCategorical) {
         node.kind = Node::Kind::kCatAccept;
-        const size_t dict_size = table.DictSize(static_cast<size_t>(col));
-        node.accept.resize(dict_size);
-        for (size_t code = 0; code < dict_size; ++code) {
-          node.accept[code] = LeafPredicateAccepts(
-              e, table.DictValue(static_cast<size_t>(col),
-                                 static_cast<int32_t>(code)));
-        }
+        node.accept =
+            CategoricalAccepts(e, table.Dictionary(static_cast<size_t>(col)));
         cp->nodes_.push_back(std::move(node));
         return static_cast<int>(cp->nodes_.size() - 1);
       }
@@ -184,6 +241,75 @@ Result<CompiledPredicate> CompiledPredicate::Compile(const Table& table,
   cp.root_ = lowerer.Lower(expr);
   if (!lowerer.error.ok()) return lowerer.error;
   return cp;
+}
+
+template <typename Fn>
+void CompiledPredicate::WithRowTest(int idx, Fn&& fn) const {
+  const Node& node = nodes_[static_cast<size_t>(idx)];
+  const size_t col = static_cast<size_t>(node.col);
+  switch (node.kind) {
+    case Node::Kind::kCatAccept: {
+      const int32_t* codes = table_->CategoricalColumn(col).data();
+      const uint8_t* accept = node.accept.data();
+      fn([codes, accept](uint32_t row) { return accept[codes[row]] != 0; });
+      return;
+    }
+    case Node::Kind::kNumCompare:
+    case Node::Kind::kNumBetween:
+      if (table_->column_type(col) == ColumnType::kDouble) {
+        WithMeasureTest(node, table_->DoubleColumn(col).data(), fn);
+      } else {
+        WithMeasureTest(node, table_->IntColumn(col).data(), fn);
+      }
+      return;
+    default:
+      fn([this, idx](uint32_t row) { return TestNode(idx, row); });
+      return;
+  }
+}
+
+void CompiledPredicate::SelectRange(uint32_t lo, uint32_t hi,
+                                    std::vector<uint32_t>* out) const {
+  const Node& root = nodes_[static_cast<size_t>(root_)];
+  const int* conjuncts = &root_;
+  size_t num_conjuncts = 1;
+  if (root.kind == Node::Kind::kAnd) {
+    conjuncts = root.children.data();
+    num_conjuncts = root.children.size();
+  }
+  // Batches of rows go through a stack selection vector: the first
+  // conjunct writes every row id and advances past the accepted ones
+  // (branch-free), the rest compact the survivors in place, and only the
+  // final survivors reach `out`.
+  uint32_t sel[kSelectBatchRows];
+  for (uint32_t base = lo; base < hi;) {
+    const uint32_t end =
+        hi - base > kSelectBatchRows ? base + kSelectBatchRows : hi;
+    size_t kept = 0;
+    if (num_conjuncts == 0) {
+      for (uint32_t row = base; row < end; ++row) sel[kept++] = row;
+    } else {
+      WithRowTest(conjuncts[0], [&](auto&& test) {
+        for (uint32_t row = base; row < end; ++row) {
+          sel[kept] = row;
+          kept += test(row) ? 1 : 0;
+        }
+      });
+    }
+    for (size_t c = 1; c < num_conjuncts && kept > 0; ++c) {
+      WithRowTest(conjuncts[c], [&](auto&& test) {
+        const size_t n = kept;
+        kept = 0;
+        for (size_t i = 0; i < n; ++i) {
+          const uint32_t row = sel[i];
+          sel[kept] = row;
+          kept += test(row) ? 1 : 0;
+        }
+      });
+    }
+    out->insert(out->end(), sel, sel + kept);
+    base = end;
+  }
 }
 
 bool CompiledPredicate::TestNode(int idx, size_t row) const {

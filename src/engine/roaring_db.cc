@@ -94,26 +94,18 @@ std::optional<RoaringBitmap> RoaringDatabase::TryBitmap(
         return std::nullopt;  // measure columns are un-indexed
       }
       const auto& bitmaps = index.per_value[c];
-      const size_t dict_size = table.DictSize(c);
-      std::vector<size_t> accepted;
-      for (size_t code = 0; code < dict_size; ++code) {
-        if (LeafPredicateAccepts(
-                expr, table.DictValue(c, static_cast<int32_t>(code)))) {
-          accepted.push_back(code);
-        }
-      }
+      const std::vector<uint8_t> accept =
+          CategoricalAccepts(expr, table.Dictionary(c));
+      const size_t dict_size = accept.size();
+      const size_t num_accepted = static_cast<size_t>(
+          std::count(accept.begin(), accept.end(), uint8_t{1}));
       // OR the smaller side; complement when most codes are accepted.
-      const bool complement = accepted.size() > dict_size / 2;
+      const bool complement = num_accepted > dict_size / 2;
       RoaringBitmap acc;
-      if (!complement) {
-        for (size_t code : accepted) acc.OrWith(bitmaps[code]);
-        return acc;
-      }
-      std::vector<uint8_t> is_accepted(dict_size, 0);
-      for (size_t code : accepted) is_accepted[code] = 1;
       for (size_t code = 0; code < dict_size; ++code) {
-        if (!is_accepted[code]) acc.OrWith(bitmaps[code]);
+        if ((accept[code] != 0) != complement) acc.OrWith(bitmaps[code]);
       }
+      if (!complement) return acc;
       return RoaringBitmap::AndNot(index.all_rows, acc);
     }
   }

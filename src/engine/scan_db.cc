@@ -16,10 +16,11 @@ namespace {
 /// (engine/database.cc) so batched and unbatched scans poll alike.
 constexpr uint32_t kFusedCancelPollRows = 32768;
 
-/// The fused evaluator: one row loop, every statement's predicate tested
-/// per row (no predicate = every row survives). Each statement's output
-/// list is exactly what its own PredicateChunkScanner would produce — the
-/// fusion shares only the row iteration, never the selection decision.
+/// The fused evaluator: one pass over each cancel slice, every statement's
+/// predicate selecting its rows from the slice (no predicate = every row
+/// survives). Each statement's output list is exactly what its own
+/// PredicateChunkScanner would produce — the fusion shares only the pass,
+/// never the selection decision.
 class FusedPredicateScanner : public MultiChunkScanner {
  public:
   FusedPredicateScanner(std::shared_ptr<Table> table,
@@ -35,26 +36,15 @@ class FusedPredicateScanner : public MultiChunkScanner {
       ZV_RETURN_NOT_OK(CheckCancelled());
       const uint32_t hi = static_cast<uint32_t>(std::min<uint64_t>(
           end, static_cast<uint64_t>(lo) + kFusedCancelPollRows));
-      if (n == 1) {
-        // A lone statement (any one-statement flush whose pass nobody
-        // shares) runs the solo scanner's tight loop, free of the per-row
-        // statement dispatch.
-        std::vector<uint32_t>& out = (*outs)[0];
-        if (!preds_[0].has_value()) {
-          for (uint32_t row = lo; row < hi; ++row) out.push_back(row);
+      // Statement by statement over the slice: the slice's column data
+      // stays cache-resident across statements, and each statement's
+      // selection runs as batch loops rather than per-row dispatch.
+      for (size_t i = 0; i < n; ++i) {
+        std::vector<uint32_t>& out = (*outs)[i];
+        if (preds_[i].has_value()) {
+          preds_[i]->SelectRange(lo, hi, &out);
         } else {
-          const CompiledPredicate& pred = *preds_[0];
-          for (uint32_t row = lo; row < hi; ++row) {
-            if (pred.Test(row)) out.push_back(row);
-          }
-        }
-      } else {
-        for (uint32_t row = lo; row < hi; ++row) {
-          for (size_t i = 0; i < n; ++i) {
-            if (!preds_[i].has_value() || preds_[i]->Test(row)) {
-              (*outs)[i].push_back(row);
-            }
-          }
+          for (uint32_t row = lo; row < hi; ++row) out.push_back(row);
         }
       }
       lo = hi;

@@ -15,9 +15,20 @@ using sql::SelectStatement;
 
 Result<SelectRunner> SelectRunner::Plan(const Table& table,
                                         const SelectStatement& stmt) {
+  ZV_ASSIGN_OR_RETURN(SelectRunner r, PlanWithoutState(table, stmt));
+  r.InitState();
+  return r;
+}
+
+Result<SelectRunner> SelectRunner::PlanWithoutState(
+    const Table& table, const SelectStatement& stmt) {
   SelectRunner r;
   r.table_ = &table;
-  r.stmt_ = stmt;
+  for (const auto& item : stmt.items) {
+    r.column_names_.push_back(item.DisplayName());
+  }
+  r.order_by_ = stmt.order_by;
+  r.limit_ = stmt.limit;
 
   bool any_agg = false;
   for (const auto& item : stmt.items) any_agg |= item.is_aggregate();
@@ -132,13 +143,16 @@ Result<SelectRunner> SelectRunner::Plan(const Table& table,
     r.items_.push_back(plan);
   }
 
-  if (r.aggregation_ && r.dense_) {
-    const size_t n = static_cast<size_t>(r.total_groups_) *
-                     std::max(1, r.num_aggs_);
-    r.dense_states_.resize(n);
-    r.dense_seen_.assign(static_cast<size_t>(r.total_groups_), 0);
-  }
   return r;
+}
+
+void SelectRunner::InitState() {
+  if (aggregation_ && dense_) {
+    const size_t n = static_cast<size_t>(total_groups_) *
+                     static_cast<size_t>(std::max(1, num_aggs_));
+    dense_states_.resize(n);
+    dense_seen_.assign(static_cast<size_t>(total_groups_), 0);
+  }
 }
 
 uint64_t SelectRunner::DenseKey(size_t row) const {
@@ -187,13 +201,10 @@ void SelectRunner::Consume(size_t row) {
   if (groups_categorical_) {
     const uint64_t key = group_cols_.empty() ? 0 : DenseKey(row);
     if (dense_) {
-      AggState* states =
-          &dense_states_[key * static_cast<uint64_t>(std::max(1, num_aggs_))];
-      if (!dense_seen_[key]) {
-        dense_seen_[key] = 1;
-        dense_keys_in_order_.push_back(key);
-      }
-      AccumulateInto(states, row);
+      dense_seen_[key] = 1;
+      AccumulateInto(
+          &dense_states_[key * static_cast<uint64_t>(std::max(1, num_aggs_))],
+          row);
     } else {
       auto [it, inserted] =
           hash_slots_.try_emplace(key, static_cast<uint32_t>(hash_keys_.size()));
@@ -220,7 +231,7 @@ void SelectRunner::Consume(size_t row) {
     const double w = group_bin_widths_[i];
     if (w > 0) {
       const int64_t bin =
-          static_cast<int64_t>(std::floor(table_->NumericAt(row, col) / w));
+          TruncateToInt64(std::floor(table_->NumericAt(row, col) / w));
       key.push_back(Value::Double(static_cast<double>(bin) * w));
     } else {
       key.push_back(table_->ValueAt(row, col));
@@ -238,16 +249,60 @@ void SelectRunner::Consume(size_t row) {
                  row);
 }
 
+void SelectRunner::MergeStates(size_t naggs, const AggState* from,
+                               AggState* into) {
+  for (size_t a = 0; a < naggs; ++a) {
+    into[a].sum += from[a].sum;
+    into[a].count += from[a].count;
+    if (from[a].min < into[a].min) into[a].min = from[a].min;
+    if (from[a].max > into[a].max) into[a].max = from[a].max;
+  }
+}
+
+namespace {
+
+/// Dense keys per parallel merge task.
+constexpr uint64_t kMergeKeysPerTask = 4096;
+
+}  // namespace
+
+void SelectRunner::MergeDenseRange(const SelectRunner& other, uint64_t key_lo,
+                                   uint64_t key_hi) {
+  const size_t naggs = static_cast<size_t>(std::max(1, num_aggs_));
+  for (uint64_t key = key_lo; key < key_hi; ++key) {
+    if (!other.dense_seen_[key]) continue;
+    dense_seen_[key] = 1;
+    MergeStates(naggs, &other.dense_states_[key * naggs],
+                &dense_states_[key * naggs]);
+  }
+}
+
+void SelectRunner::MergeBlocks(std::vector<SelectRunner>* blocks) {
+  SelectRunner& into = (*blocks)[0];
+  if (!(into.aggregation_ && into.groups_categorical_ && into.dense_)) {
+    for (size_t b = 1; b < blocks->size(); ++b) {
+      into.MergeFrom(std::move((*blocks)[b]));
+      (*blocks)[b] = SelectRunner();
+    }
+  } else {
+    // Each task owns a key range and folds blocks into it in block order,
+    // so every group associates exactly as the sequential MergeFrom fold
+    // does.
+    const uint64_t groups = into.total_groups_;
+    const uint64_t tasks = (groups + kMergeKeysPerTask - 1) / kMergeKeysPerTask;
+    ParallelFor(static_cast<size_t>(tasks), [&](size_t t) {
+      const uint64_t key_lo = t * kMergeKeysPerTask;
+      const uint64_t key_hi = std::min(groups, key_lo + kMergeKeysPerTask);
+      for (size_t b = 1; b < blocks->size(); ++b) {
+        into.MergeDenseRange((*blocks)[b], key_lo, key_hi);
+      }
+    });
+  }
+  blocks->erase(blocks->begin() + 1, blocks->end());
+}
+
 void SelectRunner::MergeFrom(SelectRunner&& other) {
   const size_t naggs = static_cast<size_t>(std::max(1, num_aggs_));
-  const auto merge_states = [naggs](AggState* into, const AggState* from) {
-    for (size_t a = 0; a < naggs; ++a) {
-      into[a].sum += from[a].sum;
-      into[a].count += from[a].count;
-      if (from[a].min < into[a].min) into[a].min = from[a].min;
-      if (from[a].max > into[a].max) into[a].max = from[a].max;
-    }
-  };
 
   if (!aggregation_) {
     projected_rows_.insert(
@@ -258,14 +313,7 @@ void SelectRunner::MergeFrom(SelectRunner&& other) {
   }
   if (groups_categorical_) {
     if (dense_) {
-      for (uint64_t key : other.dense_keys_in_order_) {
-        if (!dense_seen_[key]) {
-          dense_seen_[key] = 1;
-          dense_keys_in_order_.push_back(key);
-        }
-        merge_states(&dense_states_[key * naggs],
-                     &other.dense_states_[key * naggs]);
-      }
+      MergeDenseRange(other, 0, total_groups_);
     } else {
       for (size_t idx = 0; idx < other.hash_keys_.size(); ++idx) {
         const uint64_t key = other.hash_keys_[idx];
@@ -275,8 +323,8 @@ void SelectRunner::MergeFrom(SelectRunner&& other) {
           hash_keys_.push_back(key);
           hash_states_.resize(hash_states_.size() + naggs);
         }
-        merge_states(&hash_states_[static_cast<size_t>(it->second) * naggs],
-                     &other.hash_states_[idx * naggs]);
+        MergeStates(naggs, &other.hash_states_[idx * naggs],
+                    &hash_states_[static_cast<size_t>(it->second) * naggs]);
       }
     }
     return;
@@ -288,8 +336,9 @@ void SelectRunner::MergeFrom(SelectRunner&& other) {
       generic_keys_.push_back(key);
       generic_states_.resize(generic_states_.size() + naggs);
     }
-    merge_states(&generic_states_[static_cast<size_t>(it->second) * naggs],
-                 &other.generic_states_[static_cast<size_t>(slot) * naggs]);
+    MergeStates(naggs,
+                &other.generic_states_[static_cast<size_t>(slot) * naggs],
+                &generic_states_[static_cast<size_t>(it->second) * naggs]);
   }
 }
 
@@ -323,9 +372,9 @@ Value SelectRunner::FinalizeAgg(const AggState& s, AggFunc f) const {
 }
 
 Status SelectRunner::ApplyOrderAndLimit(ResultSet* rs) const {
-  if (!stmt_.order_by.empty()) {
+  if (!order_by_.empty()) {
     std::vector<std::pair<int, bool>> keys;  // output column idx, desc
-    for (const auto& k : stmt_.order_by) {
+    for (const auto& k : order_by_) {
       const int idx = rs->Find(k.column);
       if (idx < 0) {
         return Status::Unsupported(
@@ -343,8 +392,8 @@ Status SelectRunner::ApplyOrderAndLimit(ResultSet* rs) const {
       }
       return false;
     };
-    const size_t limit = static_cast<size_t>(stmt_.limit);
-    if (stmt_.limit >= 0 && rs->rows.size() > limit &&
+    const size_t limit = static_cast<size_t>(limit_);
+    if (limit_ >= 0 && rs->rows.size() > limit &&
         limit <= rs->rows.size() / 2) {
       // ORDER BY + LIMIT is a top-k problem: partially sort row *indices*
       // with the original position as the tie-break, which reproduces the
@@ -375,16 +424,15 @@ Status SelectRunner::ApplyOrderAndLimit(ResultSet* rs) const {
     }
     std::stable_sort(rs->rows.begin(), rs->rows.end(), key_compare);
   }
-  if (stmt_.limit >= 0 &&
-      rs->rows.size() > static_cast<size_t>(stmt_.limit)) {
-    rs->rows.resize(static_cast<size_t>(stmt_.limit));
+  if (limit_ >= 0 && rs->rows.size() > static_cast<size_t>(limit_)) {
+    rs->rows.resize(static_cast<size_t>(limit_));
   }
   return Status::OK();
 }
 
 Result<ResultSet> SelectRunner::Finish() {
   ResultSet rs;
-  for (const auto& item : stmt_.items) rs.columns.push_back(item.DisplayName());
+  rs.columns = column_names_;
 
   if (!aggregation_) {
     rs.rows = std::move(projected_rows_);
@@ -408,14 +456,18 @@ Result<ResultSet> SelectRunner::Finish() {
 
   if (groups_categorical_) {
     if (dense_) {
-      std::vector<uint64_t> keys = dense_keys_in_order_;
-      std::sort(keys.begin(), keys.end());
-      if (group_cols_.empty() && keys.empty() && num_aggs_ > 0) {
+      // Groups emit in key order: a walk of the seen flags.
+      bool any = false;
+      for (uint64_t key = 0; key < total_groups_; ++key) {
+        if (!dense_seen_[key]) continue;
+        any = true;
+        emit_group(key, &dense_states_[key * naggs]);
+      }
+      if (group_cols_.empty() && !any && num_aggs_ > 0) {
         // Aggregates over an empty selection: one row of empty aggregates,
         // mirroring SQL semantics for aggregate queries with no GROUP BY.
-        keys.push_back(0);
+        emit_group(0, &dense_states_[0]);
       }
-      for (uint64_t key : keys) emit_group(key, &dense_states_[key * naggs]);
     } else {
       std::vector<uint64_t> keys = hash_keys_;
       std::sort(keys.begin(), keys.end());
@@ -459,31 +511,28 @@ Result<ResultSet> RunBlocked(
     const std::function<void(size_t begin, size_t end, SelectRunner& runner)>&
         scan_block) {
   ZV_RETURN_NOT_OK(CheckCancelled());
-  ZV_ASSIGN_OR_RETURN(SelectRunner runner, SelectRunner::Plan(table, stmt));
+  ZV_ASSIGN_OR_RETURN(SelectRunner plan,
+                      SelectRunner::PlanWithoutState(table, stmt));
   const size_t n = table.num_rows();
   const size_t blocks =
       std::min(kMaxScanBlocks, std::max<size_t>(1, n / kScanBlockRows));
-  if (blocks <= 1 || !runner.cheap_to_replicate()) {
-    scan_block(0, n, runner);
-    return runner.Finish();
+  if (blocks <= 1 || !plan.cheap_to_replicate()) {
+    plan.InitState();
+    scan_block(0, n, plan);
+    return plan.Finish();
   }
-  std::vector<SelectRunner> runners;
-  runners.reserve(blocks);
-  runners.push_back(std::move(runner));
-  for (size_t b = 1; b < blocks; ++b) {
-    ZV_ASSIGN_OR_RETURN(SelectRunner block_runner,
-                        SelectRunner::Plan(table, stmt));
-    runners.push_back(std::move(block_runner));
-  }
+  // Copies of a stateless plan are cheap; each block's worker allocates
+  // its own state.
+  std::vector<SelectRunner> runners(blocks, plan);
   ParallelFor(blocks, [&](size_t b) {
+    runners[b].InitState();
     scan_block(n * b / blocks, n * (b + 1) / blocks, runners[b]);
   });
   // A cancelled void ParallelFor stops claiming chunks without reporting;
   // some blocks may be unscanned, so the merge below must not run.
   ZV_RETURN_NOT_OK(CheckCancelled());
-  for (size_t b = 1; b < blocks; ++b) {
-    runners[0].MergeFrom(std::move(runners[b]));
-  }
+  SelectRunner::MergeBlocks(&runners);
+  ZV_RETURN_NOT_OK(CheckCancelled());
   return runners[0].Finish();
 }
 

@@ -75,7 +75,27 @@ class SelectRunner {
     const int64_t* iptr = nullptr;
   };
 
+  friend Result<ResultSet> RunBlocked(
+      const Table& table, const sql::SelectStatement& stmt,
+      const std::function<void(size_t, size_t, SelectRunner&)>& scan_block);
+
   SelectRunner() = default;
+
+  /// Plan() without allocating aggregation state, so copies are cheap;
+  /// InitState() completes it.
+  static Result<SelectRunner> PlanWithoutState(const Table& table,
+                                               const sql::SelectStatement& stmt);
+  /// Allocates the empty dense aggregation state the plan calls for.
+  void InitState();
+  /// Folds blocks 1..B-1 into blocks[0] in block order — the same
+  /// per-group association as MergeFrom on each in turn — and drops them,
+  /// leaving only blocks[0]. Dense states merge in parallel over disjoint
+  /// key ranges.
+  static void MergeBlocks(std::vector<SelectRunner>* blocks);
+  static void MergeStates(size_t naggs, const AggState* from, AggState* into);
+  /// Folds `other`'s dense groups in [key_lo, key_hi) into this runner's.
+  void MergeDenseRange(const SelectRunner& other, uint64_t key_lo,
+                       uint64_t key_hi);
 
   uint64_t DenseKey(size_t row) const;
   void AccumulateInto(AggState* states, size_t row);
@@ -84,7 +104,9 @@ class SelectRunner {
   Status ApplyOrderAndLimit(ResultSet* rs) const;
 
   const Table* table_ = nullptr;
-  sql::SelectStatement stmt_;
+  std::vector<std::string> column_names_;
+  std::vector<sql::OrderKey> order_by_;
+  int64_t limit_ = -1;
 
   bool aggregation_ = false;
 
@@ -106,7 +128,6 @@ class SelectRunner {
 
   std::vector<AggState> dense_states_;
   std::vector<uint8_t> dense_seen_;
-  std::vector<uint64_t> dense_keys_in_order_;
 
   std::unordered_map<uint64_t, uint32_t> hash_slots_;
   std::vector<AggState> hash_states_;
@@ -128,9 +149,11 @@ class SelectRunner {
 /// surviving rows (in ascending order) to its own SelectRunner, and the
 /// block partials merge in block order. Aggregation therefore associates
 /// floats identically at every thread count, and both backends produce the
-/// same bytes for the same surviving rows. Falls back to one serial runner
-/// when the table is small or the dense group state is too wide to
-/// replicate per block.
+/// same bytes for the same surviving rows. The statement is planned once;
+/// each block's replica is allocated by the worker that scans it, and dense
+/// partials merge in parallel over disjoint key ranges. Falls back to one
+/// serial runner when the table is small or the dense group state is too
+/// wide to replicate per block.
 Result<ResultSet> RunBlocked(
     const Table& table, const sql::SelectStatement& stmt,
     const std::function<void(size_t begin, size_t end, SelectRunner& runner)>&

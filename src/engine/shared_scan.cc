@@ -288,7 +288,7 @@ void BatchScanQueue::ExecutePass(
   pass->map = members[0]->map;
   pass->chunks = pass->map.num_chunks();
 
-  // Fuse what can share a row loop; whatever can't (a different backend
+  // Fuse what can share a pass; whatever can't (a different backend
   // strategy) still rides the same pass as its own unit.
   for (size_t m = 0; m < members.size(); ++m) {
     std::unique_ptr<MultiChunkScanner> scanner = std::move(members[m]->scanner);

@@ -14,9 +14,10 @@
 /// concurrent selections into ~1 pass: callers enqueue their prepared
 /// MultiChunkScanners, a coordinator cuts a *pass* from everything waiting
 /// for the same (backend, table) group, fuses the scanners that can share
-/// a row loop (ScanDatabase tests all predicates per row; Roaring keeps
-/// its bitmap probes), fans the chunks out over a persistent worker pool,
-/// and demultiplexes per-statement row-id lists back to each caller.
+/// a pass (ScanDatabase selects every statement's rows from each
+/// cache-resident slice; Roaring keeps its bitmap probes), fans the
+/// chunks out over a persistent worker pool, and demultiplexes
+/// per-statement row-id lists back to each caller.
 ///
 /// Batching model: *group commit*. With the default window of 0 a lone
 /// query is never delayed — its pass is cut immediately — but any queries

@@ -113,8 +113,7 @@ Visualization BinVisualization(const Visualization& raw) {
   const size_t nseries = raw.series.size();
   for (size_t i = 0; i < raw.xs.size(); ++i) {
     if (!raw.xs[i].is_numeric()) continue;
-    const int64_t bin =
-        static_cast<int64_t>(std::floor(raw.xs[i].AsDouble() / w));
+    const int64_t bin = TruncateToInt64(std::floor(raw.xs[i].AsDouble() / w));
     auto [it, inserted] = bins.try_emplace(bin);
     if (inserted) it->second.resize(nseries);
     for (size_t si = 0; si < nseries; ++si) {

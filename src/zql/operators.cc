@@ -627,12 +627,11 @@ Status PlanRowFetches(const ZqlRow& row, size_t row_tag, ExecState* st,
       for (size_t si : varying_slots) {
         const Slot& s = zslots[si];
         std::vector<Value> values;
+        ValueSet seen;
         for (const auto& tuple : s.domain->tuples) {
           const Value& zval =
               std::get<ZValue>(tuple[static_cast<size_t>(s.pos)]).value;
-          if (std::find(values.begin(), values.end(), zval) == values.end()) {
-            values.push_back(zval);
-          }
+          if (seen.Insert(zval)) values.push_back(zval);
         }
         pf.varying_z_values.push_back(std::move(values));
       }

@@ -38,7 +38,7 @@ Result<Value> ParseValueToken(std::string_view raw) {
   if (end == s.c_str() + s.size() && end != s.c_str()) {
     if (s.find('.') == std::string::npos &&
         s.find('e') == std::string::npos &&
-        s.find('E') == std::string::npos) {
+        s.find('E') == std::string::npos && FitsInt64(d)) {
       return Value::Int(static_cast<int64_t>(d));
     }
     return Value::Double(d);

@@ -1,3 +1,7 @@
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/csv.h"
@@ -65,6 +69,94 @@ TEST(ValueTest, NullOrdersFirstStringsLast) {
 TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(Value::Int(7).Hash(), Value::Double(7.0).Hash());
   EXPECT_EQ(Value::Str("x").Hash(), Value::Str("x").Hash());
+  EXPECT_EQ(Value::Int(0).Hash(), Value::Double(-0.0).Hash());
+  EXPECT_EQ(Value::Int(-(int64_t{1} << 62)).Hash(),
+            Value::Double(-4611686018427387904.0).Hash());
+  // Doubles outside the int64 range (and non-finite ones) hash without
+  // converting to int64; equal values still hash alike.
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Value::Int(max), Value::Double(9223372036854775808.0));
+  EXPECT_EQ(Value::Int(max).Hash(), Value::Double(9223372036854775808.0).Hash());
+  EXPECT_EQ(Value::Double(1e300).Hash(), Value::Double(1e300).Hash());
+  EXPECT_EQ(Value::Double(-1e300).Hash(), Value::Double(-1e300).Hash());
+  EXPECT_EQ(Value::Double(inf).Hash(), Value::Double(inf).Hash());
+  EXPECT_EQ(Value::Double(-inf).Hash(), Value::Double(-inf).Hash());
+  (void)Value::Double(std::nan("")).Hash();
+  EXPECT_EQ(Value::Double(1e300).ToString(), "1e+300");
+  EXPECT_EQ(Value::Double(inf).ToString(), "inf");
+}
+
+TEST(ValueTest, TruncateToInt64IsDefinedEverywhere) {
+  EXPECT_EQ(TruncateToInt64(-2.9), -2);
+  EXPECT_EQ(TruncateToInt64(-9223372036854775808.0), INT64_MIN);
+  EXPECT_EQ(TruncateToInt64(9223372036854774784.0), 9223372036854774784);
+  EXPECT_FALSE(FitsInt64(9223372036854775808.0));
+  EXPECT_EQ(TruncateToInt64(1e300), INT64_MIN);
+  EXPECT_EQ(TruncateToInt64(-std::numeric_limits<double>::infinity()),
+            INT64_MIN);
+  EXPECT_EQ(TruncateToInt64(std::nan("")), INT64_MIN);
+}
+
+TEST(ValueSetTest, MembershipMatchesLinearEquality) {
+  const int64_t two53 = int64_t{1} << 53;
+  const std::vector<Value> universe = {
+      Value::Null(),           Value::Int(0),
+      Value::Double(-0.0),     Value::Int(3),
+      Value::Double(3.0),      Value::Double(3.5),
+      Value::Str("3"),         Value::Str("a"),
+      Value::Int(two53),       Value::Int(two53 + 1),
+      Value::Double(static_cast<double>(two53)),
+      Value::Int(-two53 - 1),  Value::Double(std::nan("")),
+      Value::Double(1e300),    Value::Int(std::numeric_limits<int64_t>::max())};
+  // Every ordered subset of a few members against every probe.
+  for (size_t mask = 0; mask < (size_t{1} << universe.size()); mask += 37) {
+    ValueSet set;
+    std::vector<Value> members;
+    for (size_t i = 0; i < universe.size(); ++i) {
+      if ((mask >> i) & 1) {
+        set.Add(universe[i]);
+        members.push_back(universe[i]);
+      }
+    }
+    for (const Value& probe : universe) {
+      bool linear = false;
+      for (const Value& m : members) linear |= m == probe;
+      EXPECT_EQ(set.Contains(probe), linear)
+          << "mask " << mask << " probe " << probe.ToString();
+    }
+  }
+}
+
+TEST(ValueSetTest, InsertKeepsFirstOccurrenceLikeStdFind) {
+  const int64_t two53 = int64_t{1} << 53;
+  const std::vector<Value> in = {
+      Value::Int(two53 + 1), Value::Double(static_cast<double>(two53)),
+      Value::Int(two53),     Value::Int(2),
+      Value::Double(2.0),    Value::Str("x"),
+      Value::Double(std::nan("")), Value::Int(5),
+      Value::Str("x"),       Value::Null(),
+      Value::Null()};
+  for (size_t rotate = 0; rotate < in.size(); ++rotate) {
+    std::vector<Value> seq(in.begin() + rotate, in.end());
+    seq.insert(seq.end(), in.begin(), in.begin() + rotate);
+    std::vector<Value> want;
+    for (const Value& v : seq) {
+      if (std::find(want.begin(), want.end(), v) == want.end()) {
+        want.push_back(v);
+      }
+    }
+    ValueSet set;
+    std::vector<Value> got;
+    for (const Value& v : seq) {
+      if (set.Insert(v)) got.push_back(v);
+    }
+    ASSERT_EQ(got.size(), want.size()) << "rotation " << rotate;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].ToString(), want[i].ToString()) << "rotation " << rotate;
+      EXPECT_EQ(got[i].type(), want[i].type()) << "rotation " << rotate;
+    }
+  }
 }
 
 TEST(ValueTest, ToString) {

@@ -16,6 +16,8 @@
 #   trace_test        (span-tree ownership across threads; Chrome/JSON
 #                      trace exports; wire metrics payloads)
 #   metrics_test      (registry-owned metric lifetimes, snapshot copies)
+#   select_test       (selection-vector batches on the stack, block
+#                      replicas freed after the parallel merge)
 #
 # After the suites, the "stress" configuration runs the randomized
 # multi-session soak (batch_stress) under the same instrumented build.
@@ -32,7 +34,7 @@ set -euo pipefail
 ROOT="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
 BUILD="${2:-$ROOT/build-asan}"
 SUITES="json_test api_test zql_builder_test server_test shard_test \
-batch_test zql_roundtrip_test trace_test metrics_test"
+batch_test zql_roundtrip_test trace_test metrics_test select_test"
 
 echo "== configuring ASan tree at $BUILD =="
 cmake -B "$BUILD" -S "$ROOT" -DZV_ASAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -52,7 +54,7 @@ echo "== running under AddressSanitizer =="
 # first report into a test failure instead of a log line.
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1 abort_on_error=1}"
 (cd "$BUILD" && ctest --output-on-failure \
-  -R '^(json_test|api_test|zql_builder_test|server_test|shard_test|batch_test|zql_roundtrip_test|trace_test|metrics_test)$')
+  -R '^(json_test|api_test|zql_builder_test|server_test|shard_test|batch_test|zql_roundtrip_test|trace_test|metrics_test|select_test)$')
 
 echo "== running the randomized soak (stress configuration) =="
 (cd "$BUILD" && ctest --output-on-failure -C stress -L stress)

@@ -17,6 +17,8 @@
 #                   fetch thread, and shard workers; trace mutex)
 #   metrics_test   (lock-free histogram recording hammered from many
 #                   threads; registry mutex)
+#   select_test    (blocked aggregation at ZV_THREADS=4: block replicas
+#                   allocated by their workers, key-range-parallel merge)
 #
 # After the suites, the "stress" configuration runs the randomized
 # multi-session soak (batch_stress) under the same instrumented build.
@@ -33,7 +35,7 @@ set -euo pipefail
 ROOT="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
 BUILD="${2:-$ROOT/build-tsan}"
 SUITES="parallel_test topk_test server_test pipeline_test shard_test \
-batch_test zql_roundtrip_test trace_test metrics_test"
+batch_test zql_roundtrip_test trace_test metrics_test select_test"
 
 echo "== configuring TSan tree at $BUILD =="
 cmake -B "$BUILD" -S "$ROOT" -DZV_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -53,7 +55,7 @@ echo "== running under ThreadSanitizer =="
 # line; second_deadlock_stack improves lock-inversion reports.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 (cd "$BUILD" && ctest --output-on-failure \
-  -R '^(parallel_test|topk_test|server_test|pipeline_test|shard_test|batch_test|zql_roundtrip_test|trace_test|metrics_test)$')
+  -R '^(parallel_test|topk_test|server_test|pipeline_test|shard_test|batch_test|zql_roundtrip_test|trace_test|metrics_test|select_test)$')
 
 echo "== running the randomized soak (stress configuration) =="
 (cd "$BUILD" && ctest --output-on-failure -C stress -L stress)

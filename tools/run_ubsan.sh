@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Undefined-behavior gate: builds a UBSan tree (-DZV_UBSAN=ON, i.e.
-# -fsanitize=undefined -fno-sanitize-recover=all, so the first report
-# aborts the test instead of scrolling past) and runs the FULL default
-# suite under it — UB is not confined to the wire-facing layers the
+# -fsanitize=undefined,float-cast-overflow -fno-sanitize-recover=all, so
+# the first report aborts the test instead of scrolling past; GCC's
+# "undefined" group omits float-cast-overflow, hence the explicit name)
+# and runs the FULL default suite under it — UB is not confined to the wire-facing layers the
 # ASan gate concentrates on: a misaligned load in the roaring bitmap,
 # a signed overflow in a scoring loop, or an invalid enum cast in the
 # parser are all silent until the optimizer acts on them.

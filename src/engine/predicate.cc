@@ -49,10 +49,6 @@ bool CompareDoubles(double lhs, CompareOp op, double rhs) {
 /// Rows per SelectRange selection-vector batch (16 KB on the stack).
 constexpr uint32_t kSelectBatchRows = 4096;
 
-/// IN lists longer than this are probed through a ValueSet; a linear scan
-/// of a shorter list is cheaper than hashing each dictionary value.
-constexpr size_t kHashedInMinValues = 8;
-
 /// Calls `fn` with a row -> bool test of a measure leaf over column data
 /// `values`, one specialisation per operator. Values widen to double
 /// exactly as Table::NumericAt does.
@@ -115,7 +111,7 @@ bool LeafPredicateAccepts(const sql::Expr& expr, const Value& v) {
 std::vector<uint8_t> CategoricalAccepts(const sql::Expr& leaf,
                                         const std::vector<Value>& dictionary) {
   std::vector<uint8_t> accept(dictionary.size());
-  if (leaf.kind == Expr::Kind::kIn && leaf.values.size() > kHashedInMinValues) {
+  if (leaf.kind == Expr::Kind::kIn) {
     ValueSet in;
     for (const Value& v : leaf.values) in.Add(v);
     for (size_t code = 0; code < dictionary.size(); ++code) {

@@ -5,7 +5,7 @@
 /// Every leaf predicate over a *categorical* column — equality, inequality,
 /// IN, BETWEEN, LIKE — is pre-evaluated against the column's dictionary into
 /// an accept-vector indexed by code, so per-row evaluation is a single array
-/// lookup. Building it costs O(|dictionary| + |IN list|): long IN lists are
+/// lookup. Building it costs O(|dictionary| + |IN list|): IN lists are
 /// probed through a hash set. Leaves over measure columns compare doubles
 /// directly.
 ///

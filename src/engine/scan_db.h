@@ -4,8 +4,9 @@
 /// WHERE clauses compile to predicates (dictionary accept-vectors for
 /// categorical leaves) evaluated per row in a single sequential pass,
 /// feeding the shared SelectRunner; chunk scans select in batches
-/// (CompiledPredicate::SelectRange). No indexes are maintained. See DESIGN.md §4 for
-/// why this substitution preserves the behaviour the paper measures.
+/// (CompiledPredicate::SelectRange). No indexes are maintained. See
+/// DESIGN.md §4 for why this substitution preserves the behaviour the paper
+/// measures.
 
 #ifndef ZV_ENGINE_SCAN_DB_H_
 #define ZV_ENGINE_SCAN_DB_H_

@@ -286,7 +286,7 @@ void SelectRunner::MergeBlocks(std::vector<SelectRunner>* blocks) {
     }
   } else {
     // Each task owns a key range and folds blocks into it in block order,
-    // so every group associates exactly as the sequential MergeFrom fold
+    // so every group associates exactly as a sequential fold of the blocks
     // does.
     const uint64_t groups = into.total_groups_;
     const uint64_t tasks = (groups + kMergeKeysPerTask - 1) / kMergeKeysPerTask;
@@ -312,20 +312,16 @@ void SelectRunner::MergeFrom(SelectRunner&& other) {
     return;
   }
   if (groups_categorical_) {
-    if (dense_) {
-      MergeDenseRange(other, 0, total_groups_);
-    } else {
-      for (size_t idx = 0; idx < other.hash_keys_.size(); ++idx) {
-        const uint64_t key = other.hash_keys_[idx];
-        auto [it, inserted] = hash_slots_.try_emplace(
-            key, static_cast<uint32_t>(hash_keys_.size()));
-        if (inserted) {
-          hash_keys_.push_back(key);
-          hash_states_.resize(hash_states_.size() + naggs);
-        }
-        MergeStates(naggs, &other.hash_states_[idx * naggs],
-                    &hash_states_[static_cast<size_t>(it->second) * naggs]);
+    for (size_t idx = 0; idx < other.hash_keys_.size(); ++idx) {
+      const uint64_t key = other.hash_keys_[idx];
+      auto [it, inserted] = hash_slots_.try_emplace(
+          key, static_cast<uint32_t>(hash_keys_.size()));
+      if (inserted) {
+        hash_keys_.push_back(key);
+        hash_states_.resize(hash_states_.size() + naggs);
       }
+      MergeStates(naggs, &other.hash_states_[idx * naggs],
+                  &hash_states_[static_cast<size_t>(it->second) * naggs]);
     }
     return;
   }

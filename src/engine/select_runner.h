@@ -38,14 +38,6 @@ class SelectRunner {
   /// deterministic projection output.
   void Consume(size_t row);
 
-  /// Merges the accumulated state of `other` into this runner. `other`
-  /// must be planned from the same statement over the same table and must
-  /// have consumed a row range strictly after this runner's (projection
-  /// rows are appended in shard order). Aggregate states merge
-  /// associatively (sum/count add; min/max fold), so a partitioned scan
-  /// followed by merges produces exactly the serial Finish() output.
-  void MergeFrom(SelectRunner&& other);
-
   /// True when a per-block copy of this runner's aggregation state is
   /// cheap (the dense path preallocates total_groups slots per block, so
   /// very wide dense group spaces are better scanned serially).
@@ -83,15 +75,22 @@ class SelectRunner {
 
   /// Plan() without allocating aggregation state, so copies are cheap;
   /// InitState() completes it.
-  static Result<SelectRunner> PlanWithoutState(const Table& table,
-                                               const sql::SelectStatement& stmt);
+  static Result<SelectRunner> PlanWithoutState(
+      const Table& table, const sql::SelectStatement& stmt);
   /// Allocates the empty dense aggregation state the plan calls for.
   void InitState();
-  /// Folds blocks 1..B-1 into blocks[0] in block order — the same
-  /// per-group association as MergeFrom on each in turn — and drops them,
-  /// leaving only blocks[0]. Dense states merge in parallel over disjoint
-  /// key ranges.
+  /// Folds blocks 1..B-1 into blocks[0] in block order and drops them,
+  /// leaving only blocks[0]; the only way runners merge. Every block is
+  /// planned from the same statement over the same table, and block b
+  /// consumed a row range strictly after block b-1's (projection rows are
+  /// appended in block order). Aggregate states merge associatively
+  /// (sum/count add; min/max fold), so a partitioned scan followed by the
+  /// merge produces exactly the serial Finish() output. Dense states merge
+  /// in parallel over disjoint key ranges, each key folded in block order.
   static void MergeBlocks(std::vector<SelectRunner>* blocks);
+  /// Merges `other`'s projection rows, or its hash / generic group states,
+  /// into this runner. Dense runners merge only through MergeBlocks.
+  void MergeFrom(SelectRunner&& other);
   static void MergeStates(size_t naggs, const AggState* from, AggState* into);
   /// Folds `other`'s dense groups in [key_lo, key_hi) into this runner's.
   void MergeDenseRange(const SelectRunner& other, uint64_t key_lo,

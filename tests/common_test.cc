@@ -77,7 +77,8 @@ TEST(ValueTest, HashConsistentWithEquality) {
   const int64_t max = std::numeric_limits<int64_t>::max();
   const double inf = std::numeric_limits<double>::infinity();
   EXPECT_EQ(Value::Int(max), Value::Double(9223372036854775808.0));
-  EXPECT_EQ(Value::Int(max).Hash(), Value::Double(9223372036854775808.0).Hash());
+  EXPECT_EQ(Value::Int(max).Hash(),
+            Value::Double(9223372036854775808.0).Hash());
   EXPECT_EQ(Value::Double(1e300).Hash(), Value::Double(1e300).Hash());
   EXPECT_EQ(Value::Double(-1e300).Hash(), Value::Double(-1e300).Hash());
   EXPECT_EQ(Value::Double(inf).Hash(), Value::Double(inf).Hash());

@@ -89,7 +89,7 @@ void ExpectAcceptsMatch(const Expr& leaf, const std::vector<Value>& dict) {
   }
 }
 
-TEST(AcceptVectorTest, InListsMatchLinearCheckOnBothSidesOfHashThreshold) {
+TEST(AcceptVectorTest, InListsMatchLinearCheckAtEverySize) {
   const std::vector<Value> dict = MixedDictionary();
   for (size_t size : {1u, 3u, 8u, 9u, 16u, 64u, 300u}) {
     for (uint64_t seed = 1; seed <= 4; ++seed) {
@@ -232,7 +232,9 @@ std::unique_ptr<Expr> RandomLeaf(Rng& rng) {
     case 1: {
       std::vector<Value> in;
       const size_t n = 1 + rng.Uniform(20);
-      for (size_t k = 0; k < n; ++k) in.push_back(Value::Int(rng.UniformInt(0, 35)));
+      for (size_t k = 0; k < n; ++k) {
+        in.push_back(Value::Int(rng.UniformInt(0, 35)));
+      }
       return Expr::In("b", std::move(in));
     }
     case 2:
@@ -260,7 +262,9 @@ std::unique_ptr<Expr> RandomTree(Rng& rng, int depth) {
     default: {
       std::vector<std::unique_ptr<Expr>> children;
       const size_t n = 2 + rng.Uniform(3);
-      for (size_t k = 0; k < n; ++k) children.push_back(RandomTree(rng, depth - 1));
+      for (size_t k = 0; k < n; ++k) {
+        children.push_back(RandomTree(rng, depth - 1));
+      }
       return rng.Uniform(2) == 0 ? Expr::And(std::move(children))
                                  : Expr::Or(std::move(children));
     }

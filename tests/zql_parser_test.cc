@@ -1,3 +1,7 @@
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "tests/test_util.h"
@@ -190,6 +194,22 @@ TEST(ZqlZTest, NamedSetAndReuseAndDerived) {
 TEST(ZqlZTest, NumericValues) {
   ZV_ASSERT_OK_AND_ASSIGN(ZEntry e, ParseZEntry("v2 <- 'year'.{2010, 2015}"));
   EXPECT_EQ(e.set->value.values[0], Value::Int(2010));
+}
+
+TEST(ZqlZTest, IntegerLiteralsPastInt64ParseAsDouble) {
+  ZV_ASSERT_OK_AND_ASSIGN(
+      ZEntry e, ParseZEntry("v2 <- 'year'.{9223372036854775807, "
+                            "99999999999999999999, -9223372036854775808}"));
+  const std::vector<Value>& values = e.set->value.values;
+  ASSERT_EQ(values.size(), 3u);
+  // 9223372036854775807 rounds to 2^63 as a double, one past INT64_MAX.
+  ASSERT_TRUE(values[0].is_double());
+  EXPECT_EQ(values[0].AsDouble(), 9223372036854775808.0);
+  ASSERT_TRUE(values[1].is_double());
+  EXPECT_EQ(values[1].AsDouble(), 1e20);
+  // -2^63 is exactly INT64_MIN and stays an integer.
+  ASSERT_TRUE(values[2].is_int());
+  EXPECT_EQ(values[2].AsInt(), std::numeric_limits<int64_t>::min());
 }
 
 // --- Viz column -------------------------------------------------------------------

@@ -3,10 +3,11 @@
 # -fsanitize=undefined,float-cast-overflow -fno-sanitize-recover=all, so
 # the first report aborts the test instead of scrolling past; GCC's
 # "undefined" group omits float-cast-overflow, hence the explicit name)
-# and runs the FULL default suite under it — UB is not confined to the wire-facing layers the
-# ASan gate concentrates on: a misaligned load in the roaring bitmap,
-# a signed overflow in a scoring loop, or an invalid enum cast in the
-# parser are all silent until the optimizer acts on them.
+# and runs the FULL default suite under it — UB is not confined to the
+# wire-facing layers the ASan gate concentrates on: a misaligned load in
+# the roaring bitmap, a signed overflow in a scoring loop, or an invalid
+# enum cast in the parser are all silent until the optimizer acts on
+# them.
 #
 # After the suites, the "stress" configuration runs the randomized
 # multi-session soak (batch_stress) under the same instrumented build.

@@ -18,6 +18,8 @@
 /// groups) over total time at 1000 products (10000 groups) — 10x the
 /// groups — must stay within n log n growth, 10 * log2(1e5) / log2(1e4) =
 /// 12.5. tools/run_bench.sh fails on "pass":"no" under ZV_BENCH_STRICT=1.
+/// The report-only `threads_fig7_4` record holds each task's exec_ms at
+/// 100000 groups with ZV_THREADS=1 and 4.
 
 #include <algorithm>
 #include <cmath>
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/parallel.h"
 #include "engine/scan_db.h"
 #include "workload/datasets.h"
 #include "zql/executor.h"
@@ -129,6 +132,29 @@ int main() {
                       {{"kind", "task_vs_groups"},
                        {"compute_ms", std::to_string(t.compute)},
                        {"exec_ms", std::to_string(t.exec)}});
+    }
+    if (products == kScalingTo) {
+      // Report-only: query execution at one vs four threads, the baseline
+      // for parallel aggregation above the per-block replication cap.
+      std::map<std::string, std::string> threads_extra = {
+          {"kind", "threads"}};
+      double worst_t4 = 0;
+      for (const auto& [name, query] : tasks) {
+        double exec_ms[2] = {0, 0};
+        for (int i = 0; i < 2; ++i) {
+          zv::SetParallelThreads(i == 0 ? 1 : 4);
+          exec_ms[i] = RunTask(&db, *query).exec;
+        }
+        zv::SetParallelThreads(0);
+        threads_extra[std::string("exec_ms_t1_") + name] =
+            std::to_string(exec_ms[0]);
+        threads_extra[std::string("exec_ms_t4_") + name] =
+            std::to_string(exec_ms[1]);
+        worst_t4 = std::max(worst_t4, exec_ms[1]);
+        std::printf("%-8zu %-16s exec T1 %8.1f ms  T4 %8.1f ms\n", groups,
+                    name, exec_ms[0], exec_ms[1]);
+      }
+      recorder.Record("threads_fig7_4", worst_t4, threads_extra);
     }
   }
 

@@ -4,13 +4,17 @@
 /// the RoaringDatabase actually sees (one bitmap per dictionary value),
 /// decode throughput per representation, and the galloping vs linear
 /// array-intersection walk. The `gallop_speedup` record asserts the >= 2x
-/// win on skewed inputs the adaptive containers promise.
+/// win on skewed inputs the adaptive containers promise, and
+/// `or_many_speedup` the >= 2x win of the k-way IN-list union
+/// (RoaringBitmap::OrMany) over an OrWith fold at k = 5 and 20.
 ///
 /// Emits one JSON record per case to ZV_BENCH_JSON (container mix in the
 /// labels) so tools/run_bench.sh folds the container trajectory into
 /// BENCH_fig7.json behind the >15% regression gate.
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -156,6 +160,64 @@ int main() {
               {"pass", pass ? "yes" : "no"}});
   std::printf("  gallop_speedup: %.2fx (%s)\n", speedup,
               pass ? "pass" : "FAIL: below the 2x floor");
+
+  // --- k-way union vs pairwise fold ---------------------------------------
+  // The IN-list leaf shape: k per-value index bitmaps of a 4M-row table
+  // with 40 equally likely values (every container an array of ~1.6K
+  // values), unioned by one OrMany or by k-1 OrWith steps.
+  zv::bench::PrintSubHeader("IN-list union: OrMany vs OrWith fold");
+  const uint32_t index_rows = 4'000'000;
+  std::vector<std::vector<uint32_t>> buckets(40);
+  {
+    Rng rng(23);
+    for (uint32_t row = 0; row < index_rows; ++row) {
+      buckets[rng.Uniform(buckets.size())].push_back(row);
+    }
+  }
+  std::vector<RoaringBitmap> index;
+  for (const std::vector<uint32_t>& bucket : buckets) {
+    RoaringBitmap bm = RoaringBitmap::FromSortedValues(
+        bucket.data(), bucket.data() + bucket.size());
+    bm.RunOptimize();
+    index.push_back(std::move(bm));
+  }
+  const size_t union_reps = std::max<size_t>(3, zv::bench::ScaledRows(200));
+  std::map<std::string, std::string> union_extra = {{"mix", "in_list_4m_40"}};
+  double worst_union_speedup = 1e300, union_ms = 0;
+  for (size_t k : {5u, 20u}) {
+    std::vector<const RoaringBitmap*> picked;
+    for (size_t i = 0; i < k; ++i) picked.push_back(&index[i * 2]);
+    uint64_t sink = 0;
+    zv::bench::WallTimer fold_timer;
+    for (size_t r = 0; r < union_reps; ++r) {
+      RoaringBitmap acc;
+      for (const RoaringBitmap* bm : picked) acc.OrWith(*bm);
+      sink += acc.Cardinality();
+    }
+    const double fold_ms = fold_timer.ElapsedMs();
+    zv::bench::WallTimer many_timer;
+    for (size_t r = 0; r < union_reps; ++r) {
+      sink += RoaringBitmap::OrMany(picked).Cardinality();
+    }
+    const double many_ms = many_timer.ElapsedMs();
+    if (sink == 1) std::printf("impossible\n");
+    const std::string kk = "k" + std::to_string(k);
+    rec.Record("union_fold_" + kk, fold_ms, {{"mix", "in_list_4m_40"}});
+    rec.Record("union_or_many_" + kk, many_ms, {{"mix", "in_list_4m_40"}});
+    const double ratio = many_ms > 0 ? fold_ms / many_ms : 0;
+    worst_union_speedup = std::min(worst_union_speedup, ratio);
+    union_ms = std::max(union_ms, many_ms);
+    std::snprintf(buf, sizeof buf, "%.2f", ratio);
+    union_extra["speedup_" + kk] = buf;
+    std::printf("  k=%-3zu fold %8.1f ms  or_many %8.1f ms  %.2fx\n", k,
+                fold_ms, many_ms, ratio);
+  }
+  // Floor: the k-way union at least 2x over the fold at every k.
+  const bool union_pass = worst_union_speedup >= 2.0;
+  union_extra["pass"] = union_pass ? "yes" : "no";
+  rec.Record("or_many_speedup", union_ms, union_extra);
+  std::printf("  or_many_speedup: %.2fx worst (%s)\n", worst_union_speedup,
+              union_pass ? "pass" : "FAIL: below the 2x floor");
 
   return 0;
 }

@@ -80,6 +80,28 @@ class ShardedLruCache {
     }
   }
 
+  /// Drops every entry whose value satisfies `pred(const V&)`, walking
+  /// each shard's LRU list under its lock; returns the number dropped.
+  /// Not an eviction: the evictions counter is untouched.
+  template <typename Pred>
+  size_t EraseIf(Pred pred) {
+    size_t erased = 0;
+    for (Shard& s : shard_data_) {
+      std::lock_guard<std::mutex> lock(s.mu);
+      for (auto it = s.lru.begin(); it != s.lru.end();) {
+        if (pred(*it->value)) {
+          s.bytes -= it->bytes;
+          s.index.erase(it->key);
+          it = s.lru.erase(it);
+          ++erased;
+        } else {
+          ++it;
+        }
+      }
+    }
+    return erased;
+  }
+
   void Clear() {
     for (Shard& s : shard_data_) {
       std::lock_guard<std::mutex> lock(s.mu);

@@ -144,9 +144,15 @@ Result<std::unique_ptr<MultiChunkScanner>> Database::PrepareMultiChunkScan(
 }
 
 Result<ResultSet> Database::FinishChunkScan(const sql::SelectStatement& stmt,
-                                            const std::vector<uint32_t>& rows) {
+                                            RowParts parts) {
   ZV_ASSIGN_OR_RETURN(std::shared_ptr<Table> table, GetTable(stmt.table));
-  return RunBlockedOverRows(*table, stmt, rows);
+  return RunBlockedOverRows(*table, stmt, parts);
+}
+
+Result<ResultSet> Database::FinishChunkScan(const sql::SelectStatement& stmt,
+                                            const std::vector<uint32_t>& rows) {
+  const std::span<const uint32_t> whole(rows);
+  return FinishChunkScan(stmt, RowParts(&whole, 1));
 }
 
 void Database::BeginRequest(size_t num_queries) {

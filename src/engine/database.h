@@ -27,6 +27,7 @@
 #include "common/status.h"
 #include "engine/chunk_map.h"
 #include "engine/result_set.h"
+#include "engine/select_runner.h"
 #include "sql/ast.h"
 #include "storage/table.h"
 
@@ -39,11 +40,11 @@ namespace zv {
 /// PrepareChunkScan compiles the statement once; ScanRange may then be
 /// called concurrently on disjoint row ranges (const, no shared mutable
 /// state). Each call appends the surviving row ids of [begin, end) to
-/// `out` in ascending order, so concatenating the per-chunk lists in chunk
-/// order reproduces exactly the row list a serial scan would select —
-/// FinishChunkScan then aggregates that list through the same blocked
-/// runner both backends share, keeping chunk-parallel results
-/// byte-identical to serial ones. ScanRange polls the calling thread's
+/// `out` in ascending order, so the per-chunk lists in chunk order hold
+/// exactly the row list a serial scan would select — FinishChunkScan then
+/// aggregates those lists in place through the same blocked runner both
+/// backends share, keeping chunk-parallel results byte-identical to serial
+/// ones. ScanRange polls the calling thread's
 /// cancellation token (common/cancel.h) at least every ~64K rows and
 /// returns kCancelled.
 class ChunkScanner {
@@ -132,7 +133,7 @@ class Database {
   /// The three-call protocol a queued pass (engine/shared_scan.h) drives
   /// instead of ExecuteInternal: PrepareMultiChunkScan once per flush,
   /// ScanRange per chunk (concurrently, on the queue's workers),
-  /// FinishChunkScan per statement on the merged row list. Splitting
+  /// FinishChunkScan per statement on its per-chunk row lists. Splitting
   /// selection from aggregation this way keeps the aggregation block
   /// structure — a pure function of table size — out of the fan-out, so
   /// float sums associate identically at any pass width or chunk count.
@@ -165,9 +166,15 @@ class Database {
   virtual Result<std::unique_ptr<MultiChunkScanner>> PrepareMultiChunkScan(
       const std::vector<const sql::SelectStatement*>& stmts);
 
-  /// Aggregates the merged (ascending) surviving-row list through the
-  /// shared blocked runner — the same code path both backends' serial
-  /// scans finish with.
+  /// Aggregates a statement's surviving rows through the shared blocked
+  /// runner — the same code path both backends' serial scans finish with.
+  /// `parts` are the pass's per-chunk lists in chunk order, read in place:
+  /// each block walks the parts that overlap it, so the lists are never
+  /// concatenated and the bytes are the same however they are split.
+  Result<ResultSet> FinishChunkScan(const sql::SelectStatement& stmt,
+                                    RowParts parts);
+
+  /// The one-part case: `rows` is the whole ascending surviving-row list.
   Result<ResultSet> FinishChunkScan(const sql::SelectStatement& stmt,
                                     const std::vector<uint32_t>& rows);
 

@@ -1,6 +1,7 @@
 #include "engine/roaring_db.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "common/cancel.h"
@@ -99,12 +100,15 @@ std::optional<RoaringBitmap> RoaringDatabase::TryBitmap(
       const size_t dict_size = accept.size();
       const size_t num_accepted = static_cast<size_t>(
           std::count(accept.begin(), accept.end(), uint8_t{1}));
-      // OR the smaller side; complement when most codes are accepted.
+      // OR the smaller side — one k-way union — and complement when most
+      // codes are accepted.
       const bool complement = num_accepted > dict_size / 2;
-      RoaringBitmap acc;
+      std::vector<const RoaringBitmap*> picked;
+      picked.reserve(complement ? dict_size - num_accepted : num_accepted);
       for (size_t code = 0; code < dict_size; ++code) {
-        if ((accept[code] != 0) != complement) acc.OrWith(bitmaps[code]);
+        if ((accept[code] != 0) != complement) picked.push_back(&bitmaps[code]);
       }
+      RoaringBitmap acc = RoaringBitmap::OrMany(picked);
       if (!complement) return acc;
       return RoaringBitmap::AndNot(index.all_rows, acc);
     }
@@ -211,8 +215,13 @@ Result<ResultSet> RoaringDatabase::ExecuteInternal(
     if (it == indexes_.end()) return Status::Internal("missing index");
     return RunBlocked(*table, stmt,
                       [](size_t begin, size_t end, SelectRunner& runner) {
-                        for (size_t row = begin; row < end; ++row) {
-                          runner.Consume(row);
+                        uint32_t ids[SelectRunner::kConsumeBatchRows];
+                        for (size_t lo = begin; lo < end;) {
+                          const size_t n = std::min(
+                              SelectRunner::kConsumeBatchRows, end - lo);
+                          std::iota(ids, ids + n, static_cast<uint32_t>(lo));
+                          runner.ConsumeBatch(ids, n);
+                          lo += n;
                         }
                       });
   }

@@ -249,6 +249,107 @@ void SelectRunner::Consume(size_t row) {
                  row);
 }
 
+template <typename ValueFn>
+void SelectRunner::AccumulateItem(AggFunc f, AggState* states,
+                                  const uint32_t* slots, const uint32_t* rows,
+                                  size_t n, ValueFn value) {
+  // Each loop touches only the fields FinalizeAgg reads for `f`, in the
+  // per-row path's operation order, so every finished value is the same.
+  switch (f) {
+    case AggFunc::kSum:
+      for (size_t i = 0; i < n; ++i) states[slots[i]].sum += value(rows[i]);
+      return;
+    case AggFunc::kAvg:
+      for (size_t i = 0; i < n; ++i) {
+        AggState& s = states[slots[i]];
+        s.sum += value(rows[i]);
+        ++s.count;
+      }
+      return;
+    case AggFunc::kCount:
+      for (size_t i = 0; i < n; ++i) ++states[slots[i]].count;
+      return;
+    case AggFunc::kMin:
+      for (size_t i = 0; i < n; ++i) {
+        AggState& s = states[slots[i]];
+        const double v = value(rows[i]);
+        ++s.count;
+        if (v < s.min) s.min = v;
+      }
+      return;
+    case AggFunc::kMax:
+      for (size_t i = 0; i < n; ++i) {
+        AggState& s = states[slots[i]];
+        const double v = value(rows[i]);
+        ++s.count;
+        if (v > s.max) s.max = v;
+      }
+      return;
+    case AggFunc::kNone:
+      return;
+  }
+}
+
+void SelectRunner::ConsumeBatch(const uint32_t* rows, size_t n) {
+  if (!(aggregation_ && groups_categorical_ && dense_)) {
+    for (size_t i = 0; i < n; ++i) Consume(rows[i]);
+    return;
+  }
+  // Dense keys are < total_groups_ <= kDenseGroupLimit, and so are their
+  // mixed-radix prefixes, so slot indexes fit 32 bits.
+  const uint32_t naggs = static_cast<uint32_t>(std::max(1, num_aggs_));
+  uint32_t slots[kConsumeBatchRows];
+  for (size_t off = 0; off < n; off += kConsumeBatchRows) {
+    const size_t m = std::min(kConsumeBatchRows, n - off);
+    const uint32_t* batch = rows + off;
+    // The mixed-radix key of DenseKey, one group column at a time.
+    if (group_cols_.empty()) std::fill_n(slots, m, 0u);
+    for (size_t g = 0; g < group_cols_.size(); ++g) {
+      const int32_t* codes =
+          table_->CategoricalColumn(static_cast<size_t>(group_cols_[g]))
+              .data();
+      if (g == 0) {
+        for (size_t i = 0; i < m; ++i) {
+          slots[i] = static_cast<uint32_t>(codes[batch[i]]);
+        }
+      } else {
+        const uint32_t radix = static_cast<uint32_t>(group_dict_sizes_[g]);
+        for (size_t i = 0; i < m; ++i) {
+          slots[i] = slots[i] * radix + static_cast<uint32_t>(codes[batch[i]]);
+        }
+      }
+    }
+    for (size_t i = 0; i < m; ++i) dense_seen_[slots[i]] = 1;
+    if (naggs != 1) {
+      for (size_t i = 0; i < m; ++i) slots[i] *= naggs;
+    }
+    for (const ItemPlan& item : items_) {
+      if (!item.is_agg) continue;
+      AggState* states = dense_states_.data() + item.agg_slot;
+      if (item.col < 0) {
+        AccumulateItem(AggFunc::kCount, states, slots, batch, m,
+                       [](uint32_t) { return 0.0; });
+      } else if (item.dptr != nullptr) {
+        const double* p = item.dptr;
+        AccumulateItem(item.agg, states, slots, batch, m,
+                       [p](uint32_t row) { return p[row]; });
+      } else if (item.iptr != nullptr) {
+        const int64_t* p = item.iptr;
+        AccumulateItem(item.agg, states, slots, batch, m, [p](uint32_t row) {
+          return static_cast<double>(p[row]);
+        });
+      } else {
+        const Table* table = table_;
+        const size_t col = static_cast<size_t>(item.col);
+        AccumulateItem(item.agg, states, slots, batch, m,
+                       [table, col](uint32_t row) {
+                         return table->NumericAt(row, col);
+                       });
+      }
+    }
+  }
+}
+
 void SelectRunner::MergeStates(size_t naggs, const AggState* from,
                                AggState* into) {
   for (size_t a = 0; a < naggs; ++a) {
@@ -534,16 +635,36 @@ Result<ResultSet> RunBlocked(
 
 Result<ResultSet> RunBlockedOverRows(const Table& table,
                                      const sql::SelectStatement& stmt,
-                                     const std::vector<uint32_t>& rows) {
+                                     RowParts parts) {
   return RunBlocked(
       table, stmt,
-      [&rows](size_t begin, size_t end, SelectRunner& runner) {
-        auto lo = std::lower_bound(rows.begin(), rows.end(),
-                                   static_cast<uint32_t>(begin));
-        auto hi = std::lower_bound(rows.begin(), rows.end(),
-                                   static_cast<uint32_t>(end));
-        for (auto it = lo; it != hi; ++it) runner.Consume(*it);
+      [parts](size_t begin, size_t end, SelectRunner& runner) {
+        // The parts concatenate to one ascending list, so a block's rows
+        // are a run of whole parts with (at most) its two boundary parts
+        // cut by binary search.
+        for (std::span<const uint32_t> part : parts) {
+          if (part.empty() || part.back() < begin) continue;
+          if (part.front() >= end) break;
+          const uint32_t* lo =
+              part.front() >= begin
+                  ? part.data()
+                  : std::lower_bound(part.data(), part.data() + part.size(),
+                                     static_cast<uint32_t>(begin));
+          const uint32_t* hi =
+              part.back() < end
+                  ? part.data() + part.size()
+                  : std::lower_bound(lo, part.data() + part.size(),
+                                     static_cast<uint32_t>(end));
+          runner.ConsumeBatch(lo, static_cast<size_t>(hi - lo));
+        }
       });
+}
+
+Result<ResultSet> RunBlockedOverRows(const Table& table,
+                                     const sql::SelectStatement& stmt,
+                                     const std::vector<uint32_t>& rows) {
+  const std::span<const uint32_t> whole(rows);
+  return RunBlockedOverRows(table, stmt, RowParts(&whole, 1));
 }
 
 }  // namespace zv

@@ -14,6 +14,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -37,6 +38,20 @@ class SelectRunner {
   /// Feeds one selected row id. Must be called in ascending row order for
   /// deterministic projection output.
   void Consume(size_t row);
+
+  /// Feeds `n` selected row ids (ascending, and after every row fed
+  /// before) — exactly equivalent to calling Consume on each in turn. The
+  /// dense categorical path works in stack batches of kConsumeBatchRows:
+  /// it builds every row's dense key one group column at a time, sets the
+  /// seen flags in one pass, then runs one tight loop per aggregate item.
+  /// Each group's state still folds its rows in ascending order, so
+  /// Finish() is bit-identical to the per-row path. Other paths loop over
+  /// Consume.
+  void ConsumeBatch(const uint32_t* rows, size_t n);
+
+  /// Rows per ConsumeBatch inner batch (the key buffer lives on the
+  /// stack).
+  static constexpr size_t kConsumeBatchRows = 1024;
 
   /// True when a per-block copy of this runner's aggregation state is
   /// cheap (the dense path preallocates total_groups slots per block, so
@@ -98,6 +113,12 @@ class SelectRunner {
 
   uint64_t DenseKey(size_t row) const;
   void AccumulateInto(AggState* states, size_t row);
+  /// One aggregate item over a batch: `slots[i]` is row `rows[i]`'s
+  /// dense state index (key × naggs); `value(row)` reads the item's input.
+  template <typename ValueFn>
+  static void AccumulateItem(sql::AggFunc f, AggState* states,
+                             const uint32_t* slots, const uint32_t* rows,
+                             size_t n, ValueFn value);
   Value GroupColValue(int group_pos, uint64_t key) const;
   Value FinalizeAgg(const AggState& s, sql::AggFunc f) const;
   Status ApplyOrderAndLimit(ResultSet* rs) const;
@@ -158,12 +179,23 @@ Result<ResultSet> RunBlocked(
     const std::function<void(size_t begin, size_t end, SelectRunner& runner)>&
         scan_block);
 
-/// Feeds a sorted row-id list to RunBlocked: each block consumes the ids
-/// inside its [begin, end) range, located by binary search. Row ids stay in
-/// ascending order inside every block, so the result is byte-identical to a
-/// scan that selected the same rows in place — this is how the Roaring
-/// backend finishes a bitmap selection and how the queued chunk-pass route
-/// (engine/database.h FinishChunkScan) aggregates its merged row list.
+/// One ascending row-id list held as consecutive parts — a chunk pass's
+/// per-chunk lists in chunk order, or a single whole list.
+using RowParts = std::span<const std::span<const uint32_t>>;
+
+/// Feeds an ascending row-id list to RunBlocked: each block walks the
+/// parts that overlap its [begin, end) range, cuts the boundary parts by
+/// binary search, and hands each piece to ConsumeBatch. Row ids stay in
+/// ascending order inside every block, so the result is byte-identical to
+/// a scan that selected the same rows in place, however the list is
+/// split — this is how the Roaring backend finishes a bitmap selection and
+/// how the queued chunk-pass route (engine/database.h FinishChunkScan)
+/// aggregates its per-chunk lists without concatenating them.
+Result<ResultSet> RunBlockedOverRows(const Table& table,
+                                     const sql::SelectStatement& stmt,
+                                     RowParts parts);
+
+/// The one-part case: `rows` is the whole ascending list.
 Result<ResultSet> RunBlockedOverRows(const Table& table,
                                      const sql::SelectStatement& stmt,
                                      const std::vector<uint32_t>& rows);

@@ -53,7 +53,7 @@ struct BatchScanQueue::Request {
 
   // Filled by the pass, read by the caller after `done`.
   Status status = Status::OK();
-  std::vector<std::vector<uint32_t>> rows;
+  std::vector<std::vector<std::vector<uint32_t>>> rows;
   uint64_t chunks_scanned = 0;
   double scan_ms = 0;
   bool shared = false;
@@ -334,9 +334,10 @@ void BatchScanQueue::ExecutePass(
   const double wall_ms = MsBetween(t0, SteadyNow());
   pass_hist_->Record(wall_ms);
 
-  // Demultiplex: per member, per statement, concatenate the chunk lists in
-  // chunk order — the positional merge that equals a serial scan. Errors
-  // surface as the first failing chunk index, the one a serial scan hits.
+  // Demultiplex: per member, per statement, move the chunk lists out in
+  // chunk order — positionally they are the serial scan's list, so no
+  // concatenated copy is made. Errors surface as the first failing chunk
+  // index, the one a serial scan hits.
   for (size_t u = 0; u < pass->units.size(); ++u) {
     const Pass::Unit& unit_ref = pass->units[u];
     Status unit_status = Status::OK();
@@ -353,16 +354,11 @@ void BatchScanQueue::ExecutePass(
       if (unit_status.ok()) {
         req.rows.resize(req.num_stmts);
         for (size_t s = 0; s < req.num_stmts; ++s) {
-          size_t total_rows = 0;
+          std::vector<std::vector<uint32_t>>& parts = req.rows[s];
+          parts.reserve(pass->chunks);
           for (size_t c = 0; c < pass->chunks; ++c) {
-            total_rows += pass->outs[u * pass->chunks + c][base + s].size();
-          }
-          std::vector<uint32_t>& rows = req.rows[s];
-          rows.reserve(total_rows);
-          for (size_t c = 0; c < pass->chunks; ++c) {
-            const std::vector<uint32_t>& part =
-                pass->outs[u * pass->chunks + c][base + s];
-            rows.insert(rows.end(), part.begin(), part.end());
+            parts.push_back(
+                std::move(pass->outs[u * pass->chunks + c][base + s]));
           }
         }
       }

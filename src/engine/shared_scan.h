@@ -28,7 +28,8 @@
 /// for wider sharing (useful when queries trickle in over a slow client).
 ///
 /// Determinism contract: selection stays in the scan (each statement's
-/// rows are exactly its solo ChunkScanner's, concatenated in chunk order)
+/// rows are exactly its solo ChunkScanner's, kept as per-chunk lists in
+/// chunk order)
 /// and aggregation stays with the caller (FinishChunkScan's blocked
 /// runner, a pure function of table size) — so batched results are
 /// byte-identical to the unbatched oracle at any worker count, window,
@@ -99,9 +100,12 @@ class BatchScanQueue {
   /// What one SelectRows call got back from its pass.
   struct Selection {
     Status status = Status::OK();
-    /// Per statement: the ascending surviving-row list, identical to what
-    /// the statement's solo chunk scan would select. Empty on error.
-    std::vector<std::vector<uint32_t>> rows;
+    /// Per statement, per chunk (in chunk order): the surviving rows of
+    /// that chunk, moved out of the pass rather than concatenated. The
+    /// parts of one statement concatenate to exactly what its solo chunk
+    /// scan would select (feed them to Database::FinishChunkScan). Empty
+    /// on error; no parts when the table has no chunks.
+    std::vector<std::vector<std::vector<uint32_t>>> rows;
     /// Chunk sub-scans attributable to this call (chunks × statements).
     uint64_t chunks_scanned = 0;
     /// Wall time of the covering pass (shared by every member).

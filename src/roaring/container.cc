@@ -716,6 +716,46 @@ Container Container::Or(const Container& a, const Container& b) {
   return OrArrayArray(a.ToArrayValues(), b.ToArrayValues());
 }
 
+Container Container::OrMany(const std::vector<const Container*>& parts) {
+  for (const Container* c : parts) {
+    if (c->type_ == Type::kAll) return MakeAll();
+  }
+  std::vector<uint64_t> words(kBitmapWords, 0);
+  for (const Container* c : parts) {
+    switch (c->type_) {
+      case Type::kArray:
+        for (uint16_t v : c->array_) words[v >> 6] |= 1ULL << (v & 63);
+        break;
+      case Type::kBitmap:
+        for (uint32_t w = 0; w < kBitmapWords; ++w) words[w] |= c->bitmap_[w];
+        break;
+      case Type::kRun:
+        for (const Run& r : c->runs_) {
+          const uint32_t end = static_cast<uint32_t>(r.start) + r.length;
+          for (uint32_t w = r.start >> 6; w <= end >> 6; ++w) {
+            uint64_t mask = ~0ULL;
+            if (w == (static_cast<uint32_t>(r.start) >> 6)) {
+              mask &= ~0ULL << (r.start & 63);
+            }
+            if (w == (end >> 6) && (end & 63) != 63) {
+              mask &= (1ULL << ((end & 63) + 1)) - 1;
+            }
+            words[w] |= mask;
+          }
+        }
+        break;
+      case Type::kInverted: {
+        const std::vector<uint64_t> inv = c->ToWords();
+        for (uint32_t w = 0; w < kBitmapWords; ++w) words[w] |= inv[w];
+        break;
+      }
+      case Type::kAll:
+        break;  // returned above
+    }
+  }
+  return MakeBitmap(std::move(words));  // canonicalizes once
+}
+
 Container Container::AndNot(const Container& a, const Container& b) {
   if (a.Empty() || b.type_ == Type::kAll) return Container();
   if (b.Empty()) return CanonicalCopy(a);

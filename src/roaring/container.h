@@ -214,6 +214,11 @@ class Container {
 
   static Container And(const Container& a, const Container& b);
   static Container Or(const Container& a, const Container& b);
+  /// Union of `parts` (at least one) in one pass: every part is OR-ed into
+  /// a single word buffer, which is canonicalized once — the same set and
+  /// representation a pairwise Or fold ends in, without its intermediate
+  /// containers.
+  static Container OrMany(const std::vector<const Container*>& parts);
   static Container AndNot(const Container& a, const Container& b);
   static Container Xor(const Container& a, const Container& b);
   static uint32_t AndCardinality(const Container& a, const Container& b);

@@ -194,6 +194,34 @@ RoaringBitmap RoaringBitmap::Or(const RoaringBitmap& a,
   return out;
 }
 
+RoaringBitmap RoaringBitmap::OrMany(
+    const std::vector<const RoaringBitmap*>& inputs) {
+  // Every input's (key, container), grouped by key; the stable sort keeps
+  // each key's containers in input order.
+  std::vector<std::pair<uint16_t, const Container*>> all;
+  size_t total = 0;
+  for (const RoaringBitmap* b : inputs) total += b->chunks_.size();
+  all.reserve(total);
+  for (const RoaringBitmap* b : inputs) {
+    for (const auto& [key, c] : b->chunks_) all.emplace_back(key, &c);
+  }
+  std::stable_sort(all.begin(), all.end(), [](const auto& x, const auto& y) {
+    return x.first < y.first;
+  });
+  RoaringBitmap out;
+  std::vector<const Container*> group;
+  for (size_t i = 0; i < all.size();) {
+    const uint16_t key = all[i].first;
+    group.clear();
+    for (; i < all.size() && all[i].first == key; ++i) {
+      group.push_back(all[i].second);
+    }
+    out.chunks_.emplace_back(
+        key, group.size() == 1 ? *group[0] : Container::OrMany(group));
+  }
+  return out;
+}
+
 RoaringBitmap RoaringBitmap::AndNot(const RoaringBitmap& a,
                                     const RoaringBitmap& b) {
   RoaringBitmap out;

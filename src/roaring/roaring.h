@@ -48,6 +48,12 @@ class RoaringBitmap {
 
   static RoaringBitmap And(const RoaringBitmap& a, const RoaringBitmap& b);
   static RoaringBitmap Or(const RoaringBitmap& a, const RoaringBitmap& b);
+  /// k-way union: each container key's containers are unioned once and
+  /// canonicalized once (Container::OrMany), where folding OrWith copies
+  /// the accumulator at every step. Same values, and the same container
+  /// per key, as that fold over `inputs` in order: a key only one input
+  /// holds keeps that input's container.
+  static RoaringBitmap OrMany(const std::vector<const RoaringBitmap*>& inputs);
   static RoaringBitmap AndNot(const RoaringBitmap& a, const RoaringBitmap& b);
   static RoaringBitmap Xor(const RoaringBitmap& a, const RoaringBitmap& b);
 
@@ -104,6 +110,13 @@ class RoaringBitmap {
         });
       }
     }
+  }
+
+  /// Calls fn(uint16_t key, const Container&) for every container in key
+  /// order — a view of the representation, for tests and diagnostics.
+  template <typename Fn>
+  void ForEachContainer(Fn&& fn) const {
+    for (const auto& [key, container] : chunks_) fn(key, container);
   }
 
   std::vector<uint32_t> ToVector() const;

@@ -64,6 +64,7 @@ size_t ResolveCacheBytes(size_t cache_mb) {
 struct QueryTask {
   SessionId session = 0;
   std::string dataset;
+  uint64_t epoch = 0;  ///< the dataset epoch the query runs against
   zql::ZqlQuery query;  ///< the typed payload (parsed or builder-built)
   std::string fingerprint;
   std::string canonical;  ///< canonical ZQL text (for the slow-query log)
@@ -299,6 +300,9 @@ Status QueryService::ReplaceDataset(std::shared_ptr<Table> table,
   it->second.table = std::move(table);
   it->second.db = std::move(db);
   ++it->second.epoch;  // every old fingerprint is now unreachable
+  // ...so free their entries now. Under mu_, with RunTask's epoch check,
+  // every cached entry of this dataset is from a replaced epoch.
+  result_cache_.EraseDataset(it->first);
   return Status::OK();
 }
 
@@ -486,6 +490,7 @@ Result<QueryHandle> QueryService::SubmitCanonical(
     task->session = session_id;
     task->dataset = dataset;
     task->query = std::move(query);
+    task->epoch = dit->second.epoch;
     task->db = dit->second.db;
     task->table_name = dit->second.table->name();
     task->user_inputs = session->user_inputs;
@@ -660,9 +665,16 @@ void QueryService::RunTask(const std::shared_ptr<QueryTask>& task) {
   auto shared = std::make_shared<const zql::ZqlResult>(std::move(result));
   // A cancel that arrived after the last cancellation point must not
   // poison the cache with a result we'll report as kCancelled elsewhere —
-  // it didn't: execution completed. Cache it; it is a full, valid result.
+  // it didn't: execution completed. Cache it; it is a full, valid result —
+  // unless ReplaceDataset bumped the epoch meanwhile: its key can never be
+  // generated again. The check and the Put share ReplaceDataset's lock, so
+  // no dead entry lands after the replace's purge.
   if (result_cache_enabled_) {
-    result_cache_.Put(task->fingerprint, shared);
+    std::lock_guard<std::mutex> lock(mu_);
+    auto dit = datasets_.find(task->dataset);
+    if (dit != datasets_.end() && dit->second.epoch == task->epoch) {
+      result_cache_.Put(task->fingerprint, task->dataset, shared);
+    }
   }
   completed_.fetch_add(1, std::memory_order_relaxed);
   c_completed_->Increment();

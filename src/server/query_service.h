@@ -12,7 +12,8 @@
 ///    execute in submission order; different sessions run concurrently).
 ///  - ResultCache (result_cache.h): sharded LRU over finished results,
 ///    keyed by canonicalized query fingerprint + dataset epoch. Any table
-///    mutation bumps the epoch, so a stale entry can never be served.
+///    mutation bumps the epoch, so a stale entry can never be served, and
+///    frees the replaced epoch's entries at once.
 ///  - ContextCache (tasks/context_cache.h): ScoringContext alignment
 ///    matrices shared across queries and sessions by content fingerprint —
 ///    the dominant setup cost of repeat exploration becomes a hash lookup.
@@ -215,6 +216,8 @@ class QueryService {
   /// Atomically replaces the dataset of the same name and bumps its epoch:
   /// queries already executing keep their snapshot; every later query sees
   /// the new table, and no cached result from the old epoch can be served.
+  /// The dataset's cached results are freed here (other datasets' stay),
+  /// and a query still executing against the old epoch caches nothing.
   Status ReplaceDataset(std::shared_ptr<Table> table,
                         std::shared_ptr<Database> db = nullptr);
 

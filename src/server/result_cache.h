@@ -6,10 +6,11 @@
 /// under concurrent readers, and immune to eviction races (the pointer
 /// keeps the entry alive for whoever already holds it).
 ///
-/// Invalidation is structural, not imperative: the fingerprint embeds the
-/// dataset epoch, so a table mutation makes every old key unreachable
-/// rather than requiring a scan-and-delete. Unreachable entries age out of
-/// the LRU tail under byte pressure.
+/// Invalidation is structural: the fingerprint embeds the dataset epoch, so
+/// a table mutation makes every old key unreachable. Each entry is also
+/// tagged with its dataset, so QueryService::ReplaceDataset frees the
+/// replaced epoch's entries at once (EraseDataset) instead of leaving dead
+/// results resident until byte pressure ages them out.
 
 #ifndef ZV_SERVER_RESULT_CACHE_H_
 #define ZV_SERVER_RESULT_CACHE_H_
@@ -51,20 +52,30 @@ class ResultCache {
       : cache_(max_bytes, shards) {}
 
   std::shared_ptr<const zql::ZqlResult> Get(const std::string& fingerprint) {
-    return cache_.Get(fingerprint);
+    return ResultOf(cache_.Get(fingerprint));
   }
 
   /// Opportunistic lookup (the Submit fast path): counts hits but not
   /// misses — a missing entry falls through to the worker, whose Get
   /// records the one authoritative miss.
   std::shared_ptr<const zql::ZqlResult> Probe(const std::string& fingerprint) {
-    return cache_.Get(fingerprint, /*count_miss=*/false);
+    return ResultOf(cache_.Get(fingerprint, /*count_miss=*/false));
   }
 
-  void Put(const std::string& fingerprint,
+  /// Caches `result`, computed against `dataset`.
+  void Put(const std::string& fingerprint, const std::string& dataset,
            std::shared_ptr<const zql::ZqlResult> result) {
     const size_t bytes = ApproxResultBytes(*result);
-    cache_.Put(fingerprint, std::move(result), bytes);
+    cache_.Put(fingerprint,
+               std::make_shared<const Entry>(Entry{dataset, std::move(result)}),
+               bytes);
+  }
+
+  /// Frees every entry computed against `dataset`; returns how many were
+  /// dropped.
+  size_t EraseDataset(const std::string& dataset) {
+    return cache_.EraseIf(
+        [&dataset](const Entry& e) { return e.dataset == dataset; });
   }
 
   void Clear() { cache_.Clear(); }
@@ -76,7 +87,17 @@ class ResultCache {
   size_t max_bytes_total() const { return cache_.max_bytes(); }
 
  private:
-  ShardedLruCache<zql::ZqlResult> cache_;
+  struct Entry {
+    std::string dataset;
+    std::shared_ptr<const zql::ZqlResult> result;
+  };
+
+  static std::shared_ptr<const zql::ZqlResult> ResultOf(
+      const std::shared_ptr<const Entry>& e) {
+    return e == nullptr ? nullptr : e->result;
+  }
+
+  ShardedLruCache<Entry> cache_;
 };
 
 }  // namespace zv::server

@@ -5,6 +5,7 @@
 #include <cctype>
 #include <cmath>
 #include <set>
+#include <unordered_map>
 
 #include "common/cancel.h"
 #include "common/clock.h"
@@ -40,6 +41,21 @@ std::string JoinKey(const std::vector<std::string>& parts) {
 // ---------------------------------------------------------------------------
 // Set evaluation
 // ---------------------------------------------------------------------------
+
+/// Z-slice membership: one ValueSet per attribute, so a probe answers
+/// exactly what a linear `ZValue ==` scan over the members does.
+class ZValueSet {
+ public:
+  void Add(const ZValue& z) { by_attr_[z.attr].Add(z.value); }
+  bool Insert(const ZValue& z) { return by_attr_[z.attr].Insert(z.value); }
+  bool Contains(const ZValue& z) const {
+    auto it = by_attr_.find(z.attr);
+    return it != by_attr_.end() && it->second.Contains(z.value);
+  }
+
+ private:
+  std::unordered_map<std::string, ValueSet> by_attr_;
+};
 
 Result<std::vector<std::string>> AttrsOf(const AttrSpec& spec,
                                          const ExecState& st) {
@@ -78,22 +94,14 @@ Result<std::vector<Value>> ValuesOfAttr(const std::string& attr,
   }
   std::vector<Value> out;
   const size_t c = static_cast<size_t>(col);
+  ValueSet excluded;
+  if (spec.kind == ValueSpec::Kind::kAllExcept) {
+    for (const Value& e : spec.values) excluded.Add(e);
+  }
   for (size_t code = 0; code < st.table->DictSize(c); ++code) {
     const Value& v = st.table->DictValue(c, static_cast<int32_t>(code));
-    if (spec.kind == ValueSpec::Kind::kAllExcept) {
-      bool excluded = false;
-      for (const Value& e : spec.values) excluded |= e == v;
-      if (excluded) continue;
-    }
+    if (excluded.Contains(v)) continue;
     out.push_back(v);
-  }
-  return out;
-}
-
-std::vector<ZValue> DedupZ(const std::vector<ZValue>& in) {
-  std::vector<ZValue> out;
-  for (const ZValue& z : in) {
-    if (std::find(out.begin(), out.end(), z) == out.end()) out.push_back(z);
   }
   return out;
 }
@@ -143,30 +151,7 @@ Result<std::vector<ZValue>> EvalZSet(const ZSetExpr& e, const ExecState& st) {
     case ZSetExpr::Kind::kOp: {
       ZV_ASSIGN_OR_RETURN(std::vector<ZValue> lhs, EvalZSet(*e.lhs, st));
       ZV_ASSIGN_OR_RETURN(std::vector<ZValue> rhs, EvalZSet(*e.rhs, st));
-      std::vector<ZValue> out;
-      if (e.op == '|') {
-        out = lhs;
-        for (const ZValue& z : rhs) {
-          if (std::find(out.begin(), out.end(), z) == out.end()) {
-            out.push_back(z);
-          }
-        }
-      } else if (e.op == '&') {
-        for (const ZValue& z : lhs) {
-          if (std::find(rhs.begin(), rhs.end(), z) != rhs.end()) {
-            out.push_back(z);
-          }
-        }
-        out = DedupZ(out);
-      } else {  // '\'
-        for (const ZValue& z : lhs) {
-          if (std::find(rhs.begin(), rhs.end(), z) == rhs.end()) {
-            out.push_back(z);
-          }
-        }
-        out = DedupZ(out);
-      }
-      return out;
+      return ZSetOp(e.op, lhs, rhs);
     }
   }
   return Status::Internal("bad Z set expression");
@@ -1417,6 +1402,38 @@ Status ReduceProcess(const ProcessDecl& decl, ScoreResult&& scored,
       ApplyMechanism(decl.mech, scored.scores, decl.filter);
   BindOutputs(decl.iter_vars, decl.outputs, scored.doms, selected, st);
   return Status::OK();
+}
+
+std::vector<ZValue> DedupZ(const std::vector<ZValue>& in) {
+  std::vector<ZValue> out;
+  ZValueSet seen;
+  for (const ZValue& z : in) {
+    if (seen.Insert(z)) out.push_back(z);
+  }
+  return out;
+}
+
+std::vector<ZValue> ZSetOp(char op, const std::vector<ZValue>& lhs,
+                           const std::vector<ZValue>& rhs) {
+  std::vector<ZValue> out;
+  ZValueSet seen;
+  if (op == '|') {
+    // lhs verbatim (duplicates kept), then rhs's first occurrences of what
+    // lhs lacks.
+    out = lhs;
+    for (const ZValue& z : lhs) seen.Add(z);
+    for (const ZValue& z : rhs) {
+      if (seen.Insert(z)) out.push_back(z);
+    }
+    return out;
+  }
+  ZValueSet right;
+  for (const ZValue& z : rhs) right.Add(z);
+  const bool keep_common = op == '&';  // else '\'
+  for (const ZValue& z : lhs) {
+    if (right.Contains(z) == keep_common && seen.Insert(z)) out.push_back(z);
+  }
+  return out;
 }
 
 }  // namespace zv::zql::exec

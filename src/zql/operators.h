@@ -148,6 +148,22 @@ struct ExecState {
 };
 
 // ---------------------------------------------------------------------------
+// Z-set algebra
+// ---------------------------------------------------------------------------
+
+/// First occurrence of each Z slice, in input order (`.range` dedupe).
+std::vector<ZValue> DedupZ(const std::vector<ZValue>& in);
+
+/// The ZQL Z-set operators: '|' is lhs verbatim followed by the rhs slices
+/// not yet present; '&' and '\' keep lhs's first occurrences that are
+/// (resp. are not) in rhs. Both functions answer exactly what their
+/// `std::find` formulations over `ZValue ==` do — NaN and int/double
+/// equality included — in expected linear time: membership probes a
+/// ValueSet per attribute.
+std::vector<ZValue> ZSetOp(char op, const std::vector<ZValue>& lhs,
+                           const std::vector<ZValue>& rhs);
+
+// ---------------------------------------------------------------------------
 // FetchOp
 // ---------------------------------------------------------------------------
 

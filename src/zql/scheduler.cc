@@ -1,6 +1,7 @@
 #include "zql/scheduler.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "common/cancel.h"
@@ -342,10 +343,15 @@ void PipelineScheduler::RunBatch(
       continue;
     }
     // The pass selected the rows; the table-size-pure blocked runner
-    // aggregates them — so the bytes can not depend on who shared the
-    // pass or how wide it ran.
+    // aggregates its per-chunk lists in place — so the bytes can not
+    // depend on who shared the pass or how wide it ran. The lists are
+    // freed as soon as they are aggregated.
     const auto tf = SteadyNow();
-    Result<ResultSet> rs = st_->db->FinishChunkScan(stmts[i], sel.rows[i]);
+    std::vector<std::vector<uint32_t>> lists = std::move(sel.rows[i]);
+    Result<ResultSet> rs = st_->db->FinishChunkScan(
+        stmts[i],
+        std::vector<std::span<const uint32_t>>(lists.begin(), lists.end()));
+    lists.clear();
     if (scan_ms != nullptr) *scan_ms += MsSince(tf);
     if (!sink(i, std::move(rs))) return;
   }

@@ -41,6 +41,16 @@
 namespace zv::zql {
 namespace {
 
+/// A Selection keeps each statement's rows as per-chunk lists; their
+/// concatenation in chunk order is the statement's whole selection.
+std::vector<uint32_t> Flatten(const std::vector<std::vector<uint32_t>>& parts) {
+  std::vector<uint32_t> rows;
+  for (const std::vector<uint32_t>& part : parts) {
+    rows.insert(rows.end(), part.begin(), part.end());
+  }
+  return rows;
+}
+
 class ScopedThreads {
  public:
   explicit ScopedThreads(size_t n) { SetParallelThreads(n); }
@@ -255,7 +265,8 @@ TEST(BatchTest, QueueSelectionMatchesSoloScan) {
     std::vector<uint32_t> rows;
     ZV_ASSERT_OK(
         solo->ScanRange(0, static_cast<uint32_t>(table->num_rows()), &rows));
-    EXPECT_EQ(sel.rows[i], rows);
+    EXPECT_EQ(Flatten(sel.rows[i]), rows);
+    EXPECT_EQ(sel.rows[i].size(), db.GetChunkMap("sales")->num_chunks());
   }
   EXPECT_GT(sel.chunks_scanned, 0u);
   EXPECT_EQ(queue.passes(), 1u);
@@ -311,7 +322,7 @@ TEST(BatchTest, ConcurrentCallersShareOnePass) {
     std::vector<uint32_t> rows;
     ZV_ASSERT_OK(
         solo->ScanRange(0, static_cast<uint32_t>(table->num_rows()), &rows));
-    EXPECT_EQ(sels[i].rows[0], rows) << "caller " << i;
+    EXPECT_EQ(Flatten(sels[i].rows[0]), rows) << "caller " << i;
   }
   EXPECT_EQ(queue.passes(), 1u);
   EXPECT_EQ(queue.shared_passes(), 1u);
@@ -349,7 +360,7 @@ TEST(BatchTest, CancelledMemberLeavesSiblingUnaffected) {
     std::vector<uint32_t> rows;
     ZV_ASSERT_OK(
         solo->ScanRange(0, static_cast<uint32_t>(table->num_rows()), &rows));
-    EXPECT_EQ(sel.rows[0], rows);
+    EXPECT_EQ(Flatten(sel.rows[0]), rows);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   token.Cancel();

@@ -3,7 +3,8 @@
 /// density regimes (array / bitmap / run / inverted / all containers) and
 /// universe sizes: set-algebra laws must hold in every representation, the
 /// adaptive container must pick the canonical encoding at every density
-/// threshold, and galloping intersection must match the linear walk.
+/// threshold, galloping intersection must match the linear walk, and the
+/// k-way union must match the pairwise fold.
 
 #include <algorithm>
 #include <set>
@@ -126,6 +127,81 @@ TEST_P(RoaringDensityTest, RunOptimizePreservesSet) {
   b.RunOptimize();
   EXPECT_TRUE(a == b);
   EXPECT_EQ(a.Cardinality(), b.Cardinality());
+}
+
+/// Per-key container representation of a bitmap.
+std::vector<std::pair<uint16_t, Container::Type>> Layout(
+    const RoaringBitmap& bm) {
+  std::vector<std::pair<uint16_t, Container::Type>> out;
+  bm.ForEachContainer([&out](uint16_t key, const Container& c) {
+    out.emplace_back(key, c.type());
+  });
+  return out;
+}
+
+/// OrMany against the sequential OrWith fold it replaces: same values and
+/// the same container type for every key.
+void ExpectOrManyMatchesFold(const std::vector<RoaringBitmap>& inputs) {
+  RoaringBitmap fold;
+  std::vector<const RoaringBitmap*> ptrs;
+  for (const RoaringBitmap& bm : inputs) {
+    fold.OrWith(bm);
+    ptrs.push_back(&bm);
+  }
+  const RoaringBitmap many = RoaringBitmap::OrMany(ptrs);
+  EXPECT_EQ(many.ToVector(), fold.ToVector()) << "k=" << inputs.size();
+  EXPECT_EQ(Layout(many), Layout(fold)) << "k=" << inputs.size();
+}
+
+TEST_P(RoaringDensityTest, OrManyMatchesSequentialFold) {
+  for (size_t k : {0u, 1u, 2u, 5u, 20u}) {
+    std::vector<RoaringBitmap> inputs;
+    for (size_t i = 0; i < k; ++i) inputs.push_back(Random(100 + k * 31 + i));
+    ExpectOrManyMatchesFold(inputs);
+  }
+}
+
+TEST(RoaringOrManyTest, MixedRepresentationsMatchSequentialFold) {
+  // Every container type meets every other: all-set and inverted chunks
+  // from ranges, run containers, sparse arrays and dense bitmaps, plus
+  // unions that cross each canonical threshold.
+  Rng rng(3);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<RoaringBitmap> inputs;
+    const size_t k = 2 + rng.Uniform(12);
+    for (size_t i = 0; i < k; ++i) {
+      const uint32_t key = static_cast<uint32_t>(rng.Uniform(4)) << 16;
+      RoaringBitmap bm;
+      switch (rng.Uniform(5)) {
+        case 0:  // all-set or near-full range
+          bm = RoaringBitmap::FromRange(
+              key + static_cast<uint32_t>(rng.Uniform(3000)),
+              key + (1u << 16) + static_cast<uint32_t>(rng.Uniform(5000)));
+          break;
+        case 1: {  // runs
+          std::vector<uint32_t> vals;
+          const uint32_t start = key + static_cast<uint32_t>(rng.Uniform(60000));
+          for (uint32_t v = start; v < start + 2000; ++v) vals.push_back(v);
+          bm = RoaringBitmap::FromValues(vals);
+          bm.RunOptimize();
+          break;
+        }
+        default: {  // arrays or bitmaps, depending on the draw
+          std::vector<uint32_t> vals;
+          const size_t n = rng.Uniform(2) == 0 ? 1 + rng.Uniform(1500)
+                                               : 3000 + rng.Uniform(20000);
+          for (size_t j = 0; j < n; ++j) {
+            vals.push_back(key + static_cast<uint32_t>(rng.Uniform(1u << 16)));
+          }
+          bm = RoaringBitmap::FromValues(vals);
+          if (rng.Uniform(3) == 0) bm.RunOptimize();
+          break;
+        }
+      }
+      inputs.push_back(std::move(bm));
+    }
+    ExpectOrManyMatchesFold(inputs);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

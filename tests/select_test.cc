@@ -1,13 +1,17 @@
 // Tests for the selection and aggregation kernels under the chunk scan:
 // categorical accept-vectors (hashed IN lists), batch selection
-// (CompiledPredicate::SelectRange) and the blocked runner's merge
-// association (RunBlocked).
+// (CompiledPredicate::SelectRange), the blocked runner's merge
+// association (RunBlocked), batch accumulation (ConsumeBatch) and row
+// lists split into parts (FinishChunkScan).
 
 #include <bit>
 #include <cmath>
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -430,6 +434,174 @@ TEST(RunBlockedTest, BinnedKeysOutsideInt64RangeAreDefined) {
   EXPECT_EQ(rs.rows[1][0].AsDouble(), 1.0);
   EXPECT_EQ(rs.rows[1][1], Value::Int(2));
   EXPECT_EQ(rs.rows[2][0].AsDouble(), 2.0);
+}
+
+// --- ConsumeBatch and split row lists -----------------------------------------
+
+/// Bit-exact cell spelling: doubles by their bits (NaN payloads and signed
+/// zeros included), everything else by value.
+std::string CellBits(const Value& v) {
+  if (v.is_double()) return "d" + std::to_string(Bits(v));
+  return v.ToString();
+}
+
+std::vector<std::vector<std::string>> ResultBits(const ResultSet& rs) {
+  std::vector<std::vector<std::string>> out;
+  for (const auto& row : rs.rows) {
+    std::vector<std::string> cells;
+    for (const Value& v : row) cells.push_back(CellBits(v));
+    out.push_back(std::move(cells));
+  }
+  return out;
+}
+
+/// Three categorical group columns, a double measure whose magnitudes span
+/// many orders (plus NaN and ±inf), a wide int measure, and a categorical
+/// measure mixing numeric and string dictionary values.
+std::shared_ptr<Table> BatchTable(size_t rows) {
+  Schema schema({{"g0", ColumnType::kCategorical},
+                 {"g1", ColumnType::kCategorical},
+                 {"g2", ColumnType::kCategorical},
+                 {"d", ColumnType::kDouble},
+                 {"i", ColumnType::kInt},
+                 {"c", ColumnType::kCategorical}});
+  TableBuilder b("batch", schema);
+  Rng rng(29);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (size_t r = 0; r < rows; ++r) {
+    b.AppendCategorical(0, Value::Str("a" + std::to_string(rng.Uniform(5))));
+    b.AppendCategorical(1, Value::Int(static_cast<int64_t>(rng.Uniform(3))));
+    b.AppendCategorical(2, Value::Str("z" + std::to_string(rng.Uniform(4))));
+    double d = rng.UniformDouble(-1, 1) * std::pow(10.0, rng.UniformInt(-6, 16));
+    const uint64_t special = rng.Uniform(200);
+    if (special == 0) d = std::nan("");
+    if (special == 1) d = inf;
+    if (special == 2) d = -inf;
+    b.AppendDouble(3, d);
+    b.AppendInt(4, rng.UniformInt(-(int64_t{1} << 60), int64_t{1} << 60));
+    const uint64_t pick = rng.Uniform(4);
+    b.AppendCategorical(5, pick == 0   ? Value::Str("text")
+                           : pick == 1 ? Value::Double(rng.UniformDouble(-1e9, 1e9))
+                                       : Value::Int(rng.UniformInt(-50, 50)));
+    b.CommitRow();
+  }
+  return b.Finish();
+}
+
+sql::SelectStatement BatchStatement(size_t group_cols) {
+  sql::SelectStatement stmt;
+  stmt.table = "batch";
+  const std::vector<std::string> groups = {"g0", "g1", "g2"};
+  for (size_t g = 0; g < group_cols; ++g) {
+    stmt.items.push_back({groups[g], sql::AggFunc::kNone});
+    stmt.group_by.push_back(groups[g]);
+  }
+  stmt.items.push_back({"*", sql::AggFunc::kCount});
+  for (const char* col : {"d", "i", "c"}) {
+    for (sql::AggFunc f : {sql::AggFunc::kSum, sql::AggFunc::kAvg,
+                           sql::AggFunc::kMin, sql::AggFunc::kMax,
+                           sql::AggFunc::kCount}) {
+      stmt.items.push_back({col, f});
+    }
+  }
+  return stmt;
+}
+
+/// An ascending random subset of [0, rows) with exactly `n` members.
+std::vector<uint32_t> SortedSample(size_t rows, size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint32_t> picked;
+  for (size_t r = 0; r < rows && picked.size() < n; ++r) {
+    // Take row r with probability (still needed) / (still available).
+    if (rng.Uniform(rows - r) < n - picked.size()) {
+      picked.push_back(static_cast<uint32_t>(r));
+    }
+  }
+  return picked;
+}
+
+TEST(ConsumeBatchTest, MatchesPerRowConsumeBitForBit) {
+  auto table = BatchTable(6000);
+  constexpr size_t kB = SelectRunner::kConsumeBatchRows;
+  for (size_t group_cols = 0; group_cols <= 3; ++group_cols) {
+    const sql::SelectStatement stmt = BatchStatement(group_cols);
+    for (size_t n : {size_t{0}, size_t{1}, kB - 1, kB, kB + 1, size_t{4097}}) {
+      const std::vector<uint32_t> rows = SortedSample(6000, n, n + group_cols);
+      ASSERT_EQ(rows.size(), n);
+      ZV_ASSERT_OK_AND_ASSIGN(SelectRunner per_row,
+                              SelectRunner::Plan(*table, stmt));
+      for (uint32_t row : rows) per_row.Consume(row);
+      ZV_ASSERT_OK_AND_ASSIGN(ResultSet want, per_row.Finish());
+
+      ZV_ASSERT_OK_AND_ASSIGN(SelectRunner batched,
+                              SelectRunner::Plan(*table, stmt));
+      batched.ConsumeBatch(rows.data(), rows.size());
+      ZV_ASSERT_OK_AND_ASSIGN(ResultSet got, batched.Finish());
+      EXPECT_EQ(ResultBits(got), ResultBits(want))
+          << "groups=" << group_cols << " n=" << n;
+
+      // Batches fed in pieces continue the same per-group folds.
+      ZV_ASSERT_OK_AND_ASSIGN(SelectRunner pieces,
+                              SelectRunner::Plan(*table, stmt));
+      const size_t cut = n / 3;
+      pieces.ConsumeBatch(rows.data(), cut);
+      pieces.ConsumeBatch(rows.data() + cut, n - cut);
+      ZV_ASSERT_OK_AND_ASSIGN(ResultSet split, pieces.Finish());
+      EXPECT_EQ(ResultBits(split), ResultBits(want))
+          << "groups=" << group_cols << " n=" << n << " (pieces)";
+    }
+  }
+}
+
+TEST(ConsumeBatchTest, SplitRowListsMatchTheFlatList) {
+  // Several aggregation blocks, so cuts straddle block boundaries.
+  const size_t n = 5 * kBlockRows + 123;
+  auto table = BatchTable(n);
+  ScanDatabase db;
+  ZV_ASSERT_OK(db.RegisterTable(table));
+  const std::vector<uint32_t> flat = SortedSample(n, n / 3, 7);
+  Rng rng(41);
+  for (size_t group_cols = 0; group_cols <= 3; ++group_cols) {
+    const sql::SelectStatement stmt = BatchStatement(group_cols);
+    ZV_ASSERT_OK_AND_ASSIGN(ResultSet want, db.FinishChunkScan(stmt, flat));
+    for (int trial = 0; trial < 8; ++trial) {
+      // Random cut points, repeats allowed: repeats make empty parts, and
+      // 0 / flat.size() make empty leading and trailing parts.
+      std::vector<size_t> cuts = {0, flat.size()};
+      const size_t extra = 1 + rng.Uniform(12);
+      for (size_t k = 0; k < extra; ++k) cuts.push_back(rng.Uniform(flat.size() + 1));
+      cuts.push_back(0);
+      cuts.push_back(flat.size());
+      std::sort(cuts.begin(), cuts.end());
+      std::vector<std::span<const uint32_t>> parts;
+      for (size_t k = 0; k + 1 < cuts.size(); ++k) {
+        parts.emplace_back(flat.data() + cuts[k], cuts[k + 1] - cuts[k]);
+      }
+      for (size_t threads : {1u, 4u}) {
+        SetParallelThreads(threads);
+        ZV_ASSERT_OK_AND_ASSIGN(ResultSet got, db.FinishChunkScan(stmt, parts));
+        EXPECT_EQ(ResultBits(got), ResultBits(want))
+            << "groups=" << group_cols << " trial=" << trial
+            << " threads=" << threads;
+      }
+      SetParallelThreads(0);
+    }
+    // Per-chunk lists, as a scan pass hands them over.
+    ZV_ASSERT_OK(db.RebuildChunkMap("batch", 4096));
+    ZV_ASSERT_OK_AND_ASSIGN(ChunkMap map, db.GetChunkMap("batch"));
+    std::vector<std::vector<uint32_t>> lists(map.num_chunks());
+    for (uint32_t row : flat) {
+      for (size_t c = 0; c < map.num_chunks(); ++c) {
+        const auto [b, e] = map.chunk_range(c);
+        if (row >= b && row < e) lists[c].push_back(row);
+      }
+    }
+    const std::vector<std::span<const uint32_t>> chunk_parts(lists.begin(),
+                                                             lists.end());
+    ZV_ASSERT_OK_AND_ASSIGN(ResultSet chunked,
+                            db.FinishChunkScan(stmt, chunk_parts));
+    EXPECT_EQ(ResultBits(chunked), ResultBits(want)) << "per-chunk lists";
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 /// \file server_test.cc
 /// \brief Serving-layer contracts: concurrent multi-session execution is
 /// byte-identical to serial; repeat queries hit the ResultCache; a table
-/// mutation (epoch bump) invalidates; Cancel() of an in-flight DTW scan
+/// mutation (epoch bump) invalidates and frees that dataset's entries;
+/// Cancel() of an in-flight DTW scan
 /// returns kCancelled promptly and leaves the service healthy; admission
 /// control rejects overload with kUnavailable; sessions expire by TTL and
 /// execute their own queries in FIFO order.
@@ -73,13 +74,14 @@ std::string Canon(const zql::ZqlResult& r) {
 /// A table of `num_series` random-walk series, each `width` points long —
 /// the shape that makes DTW scans expensive (O(width^2) per pair).
 std::shared_ptr<Table> MakeWaves(size_t num_series, size_t width,
-                                 uint64_t seed = 5, double drift = 0.0) {
+                                 uint64_t seed = 5, double drift = 0.0,
+                                 const std::string& name = "waves") {
   Schema schema({
       {"t", ColumnType::kCategorical},
       {"sid", ColumnType::kCategorical},
       {"y", ColumnType::kDouble},
   });
-  TableBuilder b("waves", schema);
+  TableBuilder b(name, schema);
   std::mt19937 rng(static_cast<uint32_t>(seed));
   std::normal_distribution<double> step(0.0, 1.0);
   for (size_t s = 0; s < num_series; ++s) {
@@ -494,6 +496,100 @@ TEST(QueryServiceTest, EpochBumpInvalidatesCachedResults) {
   ZV_ASSERT_OK(again.Wait());
   EXPECT_EQ(again.stats().cache_hits, 1u);
   EXPECT_EQ(Canon(*again.result()), Canon(*after.result()));
+}
+
+const char* const kTopThreeQuery =
+    "f1 | 't' | 'y' | 'sid'.'s0' | | |\n"
+    "*f2 | 't' | 'y' | v1 <- 'sid'.* | | | v2 <- argmin_v1[k=3] "
+    "D(f2, f1)";
+
+TEST(QueryServiceTest, ReplaceFreesOnlyThatDatasetsCachedResults) {
+  QueryService service;
+  ZV_ASSERT_OK(service.RegisterDataset(MakeWaves(6, 16, 5)));
+  ZV_ASSERT_OK(service.RegisterDataset(MakeWaves(6, 16, 7, 0.0, "other")));
+  ZV_ASSERT_OK_AND_ASSIGN(SessionId session, service.CreateSession());
+  for (const char* dataset : {"waves", "other"}) {
+    ZV_ASSERT_OK_AND_ASSIGN(QueryHandle h,
+                            service.Submit(session, dataset, kTopThreeQuery));
+    ZV_ASSERT_OK(h.Wait());
+  }
+  EXPECT_EQ(service.stats().result_cache_entries, 2u);
+  const size_t both_bytes = service.stats().result_cache_bytes;
+
+  ZV_ASSERT_OK(service.ReplaceDataset(MakeWaves(6, 16, 99)));
+  EXPECT_EQ(service.stats().result_cache_entries, 1u)
+      << "the replaced epoch's entry is freed at once";
+  EXPECT_LT(service.stats().result_cache_bytes, both_bytes);
+
+  ZV_ASSERT_OK_AND_ASSIGN(QueryHandle other,
+                          service.Submit(session, "other", kTopThreeQuery));
+  ZV_ASSERT_OK(other.Wait());
+  EXPECT_EQ(other.stats().cache_hits, 1u) << "other datasets keep theirs";
+}
+
+TEST(QueryServiceTest, RepeatAfterReplaceMissesOnceThenHits) {
+  QueryService service;
+  ZV_ASSERT_OK(service.RegisterDataset(MakeWaves(6, 16, 5)));
+  ZV_ASSERT_OK_AND_ASSIGN(SessionId session, service.CreateSession());
+  ZV_ASSERT_OK_AND_ASSIGN(QueryHandle first,
+                          service.Submit(session, "waves", kTopThreeQuery));
+  ZV_ASSERT_OK(first.Wait());
+  ZV_ASSERT_OK(service.ReplaceDataset(MakeWaves(6, 16, 99)));
+  EXPECT_EQ(service.stats().result_cache_entries, 0u);
+  const uint64_t misses = service.stats().cache_misses;
+
+  ZV_ASSERT_OK_AND_ASSIGN(QueryHandle miss,
+                          service.Submit(session, "waves", kTopThreeQuery));
+  ZV_ASSERT_OK(miss.Wait());
+  EXPECT_EQ(miss.stats().cache_hits, 0u);
+  EXPECT_EQ(service.stats().cache_misses, misses + 1);
+  EXPECT_EQ(service.stats().result_cache_entries, 1u);
+
+  ZV_ASSERT_OK_AND_ASSIGN(QueryHandle hit,
+                          service.Submit(session, "waves", kTopThreeQuery));
+  ZV_ASSERT_OK(hit.Wait());
+  EXPECT_EQ(hit.stats().cache_hits, 1u);
+  EXPECT_EQ(service.stats().cache_misses, misses + 1);
+  EXPECT_EQ(Canon(*hit.result()), Canon(*miss.result()));
+}
+
+TEST(QueryServiceTest, QueryInFlightAcrossReplaceCachesNothing) {
+  ScopedThreads threads(2);
+  QueryService service(DtwServiceOptions());
+  // ~80^2 DTW pairs at width 128: long enough to straddle the replace.
+  ZV_ASSERT_OK(service.RegisterDataset(MakeWaves(80, 128)));
+  ZV_ASSERT_OK_AND_ASSIGN(SessionId session, service.CreateSession());
+  ZV_ASSERT_OK_AND_ASSIGN(QueryHandle handle,
+                          service.Submit(session, "waves", kAllPairsQuery));
+  ASSERT_TRUE(WaitUntilInFlight(service)) << "query never started";
+  ZV_ASSERT_OK(service.ReplaceDataset(MakeWaves(80, 128, 99)));
+  ASSERT_FALSE(handle.done()) << "workload too small to straddle the replace";
+  ZV_ASSERT_OK(handle.Wait());  // completes against its old snapshot
+  ASSERT_NE(handle.result(), nullptr);
+  EXPECT_EQ(service.stats().result_cache_entries, 0u)
+      << "a result of the replaced epoch can never hit; it must not land";
+  EXPECT_EQ(service.stats().result_cache_bytes, 0u);
+}
+
+TEST(QueryServiceTest, CacheBytesStayFlatAcrossReplaceCycles) {
+  QueryService service;
+  ZV_ASSERT_OK(service.RegisterDataset(MakeWaves(6, 16, 5)));
+  ZV_ASSERT_OK_AND_ASSIGN(SessionId session, service.CreateSession());
+  size_t first_bytes = 0;
+  for (int cycle = 0; cycle < 50; ++cycle) {
+    ZV_ASSERT_OK_AND_ASSIGN(QueryHandle h,
+                            service.Submit(session, "waves", kTopThreeQuery));
+    ZV_ASSERT_OK(h.Wait());
+    const server::ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.result_cache_entries, 1u) << "cycle " << cycle;
+    if (cycle == 0) first_bytes = stats.result_cache_bytes;
+    EXPECT_EQ(stats.result_cache_bytes, first_bytes) << "cycle " << cycle;
+    // Alternate two table versions, as a dashboard flipping between them.
+    ZV_ASSERT_OK(service.ReplaceDataset(
+        MakeWaves(6, 16, cycle % 2 == 0 ? 99 : 5)));
+  }
+  EXPECT_GT(first_bytes, 0u);
+  EXPECT_EQ(service.stats().result_cache_entries, 0u);
 }
 
 // ---------------------------------------------------------------------------

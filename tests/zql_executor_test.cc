@@ -1,9 +1,18 @@
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <random>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "engine/roaring_db.h"
 #include "engine/scan_db.h"
 #include "tests/test_util.h"
 #include "zql/executor.h"
+#include "zql/operators.h"
 
 namespace zv::zql {
 namespace {
@@ -297,6 +306,32 @@ TEST_F(ZqlExecutorTest, NamedValueSet) {
   EXPECT_EQ(r.outputs[0].visuals.size(), 2u);
 }
 
+// A 100k-value named set through the Z-set algebra: the union and
+// intersection stay linear, and only the table's slices survive.
+TEST_F(ZqlExecutorTest, HundredThousandValueNamedSetAlgebra) {
+  std::vector<Value> big, other;
+  for (int i = 0; i < 100000; ++i) {
+    big.push_back(Value::Str("p" + std::to_string(i)));
+    other.push_back(Value::Str("p" + std::to_string(i + 50000)));
+  }
+  big.push_back(Value::Str("desk"));
+  other.push_back(Value::Str("chair"));
+  ZqlOptions opts;
+  opts.named_sets.value_sets["P"] = {"product", big};
+  opts.named_sets.value_sets["Q"] = {"product", other};
+  opts.named_sets.value_sets["T"] = {
+      "product", {Value::Str("stapler"), Value::Str("chair"),
+                  Value::Str("desk")}};
+  ZqlResult r = Run(
+      "*f1 | 'year' | 'sales' | v1 <- ((P | Q) & T) | location='US' | |",
+      opts);
+  ASSERT_EQ(r.outputs.size(), 1u);
+  // '&' keeps the left side's order: desk (ending P), then chair (Q).
+  ASSERT_EQ(r.outputs[0].visuals.size(), 2u);
+  EXPECT_EQ(r.outputs[0].visuals[0].slices[0].value, Value::Str("desk"));
+  EXPECT_EQ(r.outputs[0].visuals[1].slices[0].value, Value::Str("chair"));
+}
+
 // Named attribute sets (Table 3.24's M).
 TEST_F(ZqlExecutorTest, NamedAttrSet) {
   ZqlOptions opts;
@@ -403,5 +438,93 @@ TEST(ZqlExecutorLimitsTest, CombinationCountOverflowIsInvalidArgument) {
       << r.status().ToString();
 }
 
+
+// --- Z-set algebra against the std::find formulation ------------------------
+
+std::vector<ZValue> FindDedup(const std::vector<ZValue>& in) {
+  std::vector<ZValue> out;
+  for (const ZValue& z : in) {
+    if (std::find(out.begin(), out.end(), z) == out.end()) out.push_back(z);
+  }
+  return out;
+}
+
+std::vector<ZValue> FindOp(char op, const std::vector<ZValue>& lhs,
+                           const std::vector<ZValue>& rhs) {
+  std::vector<ZValue> out;
+  if (op == '|') {
+    out = lhs;
+    for (const ZValue& z : rhs) {
+      if (std::find(out.begin(), out.end(), z) == out.end()) out.push_back(z);
+    }
+    return out;
+  }
+  for (const ZValue& z : lhs) {
+    const bool in_rhs = std::find(rhs.begin(), rhs.end(), z) != rhs.end();
+    if (in_rhs == (op == '&')) out.push_back(z);
+  }
+  return FindDedup(out);
+}
+
+/// Identity, not operator==: same attribute, same type, same bits.
+bool SameZ(const ZValue& a, const ZValue& b) {
+  if (a.attr != b.attr || a.value.type() != b.value.type()) return false;
+  if (a.value.is_double()) {
+    return std::bit_cast<uint64_t>(a.value.AsDouble()) ==
+           std::bit_cast<uint64_t>(b.value.AsDouble());
+  }
+  return a.value == b.value;
+}
+
+::testing::AssertionResult SameZList(const std::vector<ZValue>& got,
+                                     const std::vector<ZValue>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << got.size() << " vs " << want.size();
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (!SameZ(got[i], want[i])) {
+      return ::testing::AssertionFailure()
+             << "at " << i << ": " << got[i].Label() << " vs "
+             << want[i].Label();
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Slices over two attributes from a pool where operator== is not an
+/// equivalence: NaN, ints and the doubles equal to them, ints past 2^53,
+/// signed zeros, strings and null.
+std::vector<ZValue> RandomZSet(std::mt19937_64& rng, size_t n) {
+  const int64_t two53 = int64_t{1} << 53;
+  const std::vector<Value> pool = {
+      Value::Int(0),           Value::Int(1),
+      Value::Int(2),           Value::Double(1.0),
+      Value::Double(2.5),      Value::Double(-0.0),
+      Value::Double(0.0),      Value::Double(std::nan("")),
+      Value::Int(two53),       Value::Int(two53 + 1),
+      Value::Double(static_cast<double>(two53)),
+      Value::Str("x"),         Value::Str("1"),
+      Value::Null()};
+  std::vector<ZValue> out;
+  for (size_t i = 0; i < n; ++i) {
+    out.push_back({rng() % 2 == 0 ? "a" : "b", pool[rng() % pool.size()]});
+  }
+  return out;
+}
+
+TEST(ZSetAlgebraTest, MatchesFindReferenceOnRandomSets) {
+  std::mt19937_64 rng(17);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::vector<ZValue> lhs = RandomZSet(rng, rng() % 24);
+    const std::vector<ZValue> rhs = RandomZSet(rng, rng() % 24);
+    EXPECT_TRUE(SameZList(exec::DedupZ(lhs), FindDedup(lhs)))
+        << "dedup, trial " << trial;
+    for (char op : {'|', '&', '\\'}) {
+      EXPECT_TRUE(SameZList(exec::ZSetOp(op, lhs, rhs), FindOp(op, lhs, rhs)))
+          << op << ", trial " << trial;
+    }
+  }
+}
 }  // namespace
 }  // namespace zv::zql

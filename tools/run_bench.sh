@@ -115,11 +115,12 @@ fi
 # Floors: bench_distance's simd_speedup_n512 record asserts vectorized
 # L2 >= 2x over scalar (AVX2 hosts only — absent otherwise),
 # bench_roaring's gallop_speedup asserts galloping intersection >= 2x over
-# the linear walk on skewed inputs, and bench_fig7_4's scaling_fig7_4
+# the linear walk on skewed inputs, its or_many_speedup asserts the k-way
+# IN-list union >= 2x over the pairwise fold, and bench_fig7_4's scaling_fig7_4
 # asserts every task's total time grows no faster than n log n across 10x
 # the groups. "pass":"no" warns; under ZV_BENCH_STRICT=1 it fails, like
 # the trace-overhead budget above.
-for floor in simd_speedup_n512 gallop_speedup scaling_fig7_4; do
+for floor in simd_speedup_n512 gallop_speedup or_many_speedup scaling_fig7_4; do
   if grep "\"case\":\"$floor\"" "$LINES" | grep -q '"pass":"no"'; then
     if [[ "${ZV_BENCH_STRICT:-0}" == "1" ]]; then
       echo "ZV_BENCH_STRICT=1: $floor missed its floor (see the $floor record) — failing" >&2

@@ -438,9 +438,13 @@ TEST(RunBlockedTest, BinnedKeysOutsideInt64RangeAreDefined) {
 
 // --- ConsumeBatch and split row lists -----------------------------------------
 
-/// Bit-exact cell spelling: doubles by their bits (NaN payloads and signed
-/// zeros included), everything else by value.
+/// Bit-exact cell spelling: doubles by their bits (signed zeros
+/// included), everything else by value. Every NaN spells the same: which
+/// NaN `a + b` returns when both are NaN follows the operand order the
+/// compiler emits, and compilers treat addition as commutative, so NaN
+/// sign and payload are not reproducible across compilations.
 std::string CellBits(const Value& v) {
+  if (v.is_double() && std::isnan(v.AsDouble())) return "nan";
   if (v.is_double()) return "d" + std::to_string(Bits(v));
   return v.ToString();
 }
